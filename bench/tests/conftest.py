@@ -1,0 +1,10 @@
+"""Put the benchmark modules and the thermolab source tree on sys.path."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+ROOT = BENCH.parent
+for path in (ROOT / "src", BENCH, ROOT / "tests"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
