@@ -50,6 +50,7 @@ from .gibbs import (
     pressure_limit,
     random_density_state,
     relative_entropy,
+    release_families,
     variational_gap,
     von_neumann_entropy,
 )

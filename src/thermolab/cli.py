@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +31,7 @@ from .completeness import (
 )
 from .convex import CurveSamples, biconjugate, conjugate, tangent_set
 from .errors import ConfigError, ThermolabError
-from .gibbs import pressure_limit
+from .gibbs import pressure_limit, release_families
 from .kms import (
     GaussianTestFunction,
     default_probes,
@@ -39,6 +40,9 @@ from .kms import (
     kms_smeared_residual,
 )
 from .lattice import ModelSpec, build_model
+
+# Longest list a lo:hi:step range may expand to.
+MAX_RANGE_POINTS = 10**6
 
 SUBCOMMANDS = ("pressure", "entropy-curve", "legendre", "completeness",
                "kms-verify", "diff-test")
@@ -123,6 +127,8 @@ class Config:
         floats = self.get_floats(key, default=None, required=required)
         if floats is None:
             return default
+        if not all(math.isfinite(x) for x in floats):
+            raise ConfigError("expected finite integers", key=key, line=self._line(key))
         ints = [int(round(x)) for x in floats]
         if any(abs(i - x) > 1e-9 for i, x in zip(ints, floats)):
             raise ConfigError("expected integers", key=key, line=self._line(key))
@@ -142,22 +148,39 @@ class Config:
 
 
 def _parse_number_list(text: str) -> list[float]:
-    """Scalars, comma lists, and lo:hi[:step] inclusive ranges."""
+    """Scalars, comma lists, and lo:hi[:step] inclusive ranges.
+
+    Range points are lo + k*step rounded to the most decimals among lo, hi
+    and step, so ``-0.1:0.1:0.01`` passes through 0 exactly and
+    ``0:0.3:0.1`` ends at 0.3.
+    """
     text = text.strip()
     if "," in text:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     if ":" in text:
-        parts = text.split(":")
+        parts = [p.strip() for p in text.split(":")]
         if len(parts) == 2:
-            lo, hi, step = float(parts[0]), float(parts[1]), 1.0
-        elif len(parts) == 3:
-            lo, hi, step = (float(p) for p in parts)
-        else:
+            parts.append("1")
+        if len(parts) != 3:
             raise ValueError(f"bad range {text!r}")
+        lo, hi, step = (float(p) for p in parts)
+        if not all(math.isfinite(x) for x in (lo, hi, step)):
+            raise ValueError(f"range bounds must be finite in {text!r}")
         if step <= 0 or hi < lo:
             raise ValueError(f"bad range bounds {text!r}")
-        return list(np.arange(lo, hi + step / 2.0, step))
+        decimals = max(_decimals(p) for p in parts)
+        count = math.floor((hi - lo) / step + 0.5) + 1
+        if count > MAX_RANGE_POINTS:
+            raise ValueError(f"range {text!r} has {count} points, over {MAX_RANGE_POINTS}")
+        # "+ 0.0" turns a rounded -0.0 into 0.0
+        return [round(lo + k * step, decimals) + 0.0 for k in range(count)]
     return [float(text)]
+
+
+def _decimals(token: str) -> int:
+    """Decimal places of a number token that float() accepts ("1.25e-1": 3)."""
+    mantissa, _, exponent = token.lower().partition("e")
+    return max(0, len(mantissa.partition(".")[2]) - int(exponent or 0))
 
 
 def _model_from_config(cfg: Config) -> ModelSpec:
@@ -258,8 +281,13 @@ def _run_pressure(cfg: Config, writer: ArtifactWriter, rng, threads: int):
     fit = cfg.get_str("fit", "affine", choices=("affine", "geometric"))
     thetas = _theta_grid(cfg, spec.n_observables)
 
-    estimates = _pool_map(lambda th: pressure_limit(spec, th, sizes, fit=fit),
-                          thetas, threads)
+    # a run keeps its families for its own thetas only, so every run pays
+    # for (and its trace shows) the builds it needs
+    try:
+        estimates = _pool_map(lambda th: pressure_limit(spec, th, sizes, fit=fit),
+                              thetas, threads)
+    finally:
+        release_families()
     columns = [f"theta_{k}" for k in range(spec.n_observables)]
     columns += ["N", "phi_N", "value", "extrapolation_error"]
     rows = []
@@ -456,6 +484,8 @@ def run_experiment(subcommand: str, config_path, out_dir, seed: int = 0,
     """Run one experiment and return its manifest (also written to disk)."""
     if subcommand not in _RUNNERS:
         raise ConfigError(f"unknown subcommand {subcommand!r}; choose from {SUBCOMMANDS}")
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     start = time.monotonic()
     cfg = Config.load(config_path)
     out = Path(out_dir)

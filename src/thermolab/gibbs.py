@@ -4,11 +4,21 @@ All matrix exponentials and logarithms go through hermitian spectral
 decompositions; for the diagonal built-in families the spectral data is the
 stored diagonal itself and no dense algebra is performed, which keeps sizes
 up to the dimension cap (2^14) cheap.
+
+Pressures are sums over levels, not states: ``finite_pressure`` reads the
+family's joint level table (distinct eigenvalue rows with multiplicities,
+see ``ObservableFamily.levels``), which the built-in Ising and Curie-Weiss
+families shrink from 2^N states to O(N^2) rows. A family does not depend on
+theta, so ``pressure_limit`` takes each size's family from a small memo
+and a sweep over many thetas builds each size once; ``release_families``
+empties the memo when a sweep ends.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +32,9 @@ EIG_FLOOR = 1e-15
 # Support threshold for relative entropy: sigma-eigenvalues at or below it
 # count as null directions.
 SUPPORT_EPS = 1e-12
+# Families kept by pressure_limit's memo. Under DIMENSION_CAP a sweep has at
+# most 14 sizes, so one sweep's families all stay in it.
+FAMILY_MEMO_SIZE = 16
 
 
 class DensityState:
@@ -166,11 +179,16 @@ def relative_entropy(rho: DensityState, sigma: DensityState) -> float:
 
 
 def finite_pressure(family: ObservableFamily, theta) -> float:
-    """phi_N = N^-1 ln Tr exp(-theta.Q), via spectral shift for overflow safety."""
-    gen = family.control_generator(theta)
-    lam = gen if gen.ndim == 1 else np.linalg.eigvalsh(gen)
-    shift = float(lam.min())
-    return float(np.log(np.exp(-(lam - shift)).sum()) - shift) / family.region.size
+    """phi_N = N^-1 ln Tr exp(-theta.Q), summed over the family's joint levels.
+
+    One log-sum-exp of ln(multiplicity) - theta.level, shifted by its largest
+    term for overflow safety.
+    """
+    th = as_components(theta, family.n_observables)
+    levels, log_mult = family.levels()
+    exponent = log_mult - levels @ th
+    top = float(exponent.max())
+    return (float(np.log(np.exp(exponent - top).sum())) + top) / family.region.size
 
 
 def expectation_vector(rho: DensityState, family: ObservableFamily) -> np.ndarray:
@@ -243,24 +261,51 @@ def _two_mode_value(narr: np.ndarray, phis: np.ndarray, step: float) -> float | 
     return ref + math.log(dominant) / step
 
 
+@functools.lru_cache(maxsize=FAMILY_MEMO_SIZE)
+def _memo_family(spec: ModelSpec, n: int, cap: int) -> ObservableFamily:
+    # build_model is looked up at call time, so a rebinding of this module's
+    # name (instrumentation, tests) sees every build
+    return build_model(spec, spec.region(n), cap=cap)
+
+
+_memo_lock = threading.Lock()
+
+
+def _family(spec: ModelSpec, n: int, cap: int) -> ObservableFamily:
+    """The memoized family of ``spec`` on n sites, built on first request.
+
+    The lock makes threads of one sweep wait for a family another thread is
+    building instead of building it again.
+    """
+    with _memo_lock:
+        return _memo_family(spec, n, cap)
+
+
+def release_families() -> None:
+    """Drop the families pressure_limit has kept; later calls build afresh."""
+    _memo_family.cache_clear()
+
+
 def pressure_limit(spec: ModelSpec, theta, sizes, fit: str = "affine",
                    cap: int = DIMENSION_CAP) -> PressureEstimate:
     """Extrapolate phi_N to the infinite-volume pressure.
 
     fit="affine": least-squares affine fit in 1/N (surface-over-volume
     corrections); value is the intercept, error the larger of the worst fit
-    residual and the last-size deviation. fit="geometric": Aitken
-    acceleration of the increments of N*phi_N, for periodic chains whose
-    finite-size corrections decay exponentially; needs uniformly spaced
-    sizes. Sizes must be strictly increasing with at least 3 entries.
+    residual and the last-size deviation. fit="geometric": for periodic
+    chains whose finite-size corrections decay exponentially; fits the
+    scaled partition sums to a two-mode linear recurrence and takes its
+    dominant root, falling back to Aitken acceleration of the increments of
+    N*phi_N when the recurrence has no positive dominant root; needs
+    uniformly spaced sizes. Sizes must be strictly increasing with at least
+    3 entries. Each size's family is built once and kept for later calls
+    (see ``FAMILY_MEMO_SIZE`` and ``release_families``).
     """
     sizes = [int(n) for n in sizes]
     if len(sizes) < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise UsageError("sizes must be strictly increasing with at least 3 entries")
     th = as_components(theta)
-    phis = np.array([
-        finite_pressure(build_model(spec, spec.region(n), cap=cap), th) for n in sizes
-    ])
+    phis = np.array([finite_pressure(_family(spec, n, cap), th) for n in sizes])
     per_size = tuple((n, float(p)) for n, p in zip(sizes, phis))
     narr = np.array(sizes, dtype=float)
 

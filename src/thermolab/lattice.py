@@ -150,8 +150,10 @@ class ObservableFamily:
     """Commuting hermitian observables on a region's spin space.
 
     Observables are stored either as diagonal vectors (all built-in models)
-    or as dense hermitian matrices. ``spec`` records the generating model
-    when the family came out of :func:`build_model`.
+    or as one dense hermitian matrix (the transverse-field chain). The arrays
+    are kept read-only, so a family can be shared between sweeps and threads.
+    ``spec`` records the generating model when the family came out of
+    :func:`build_model`.
     """
 
     def __init__(self, region: Region, labels, diagonals=None, matrices=None,
@@ -164,16 +166,20 @@ class ObservableFamily:
             raise UsageError("local dimension must be at least 2")
         self.labels = tuple(labels)
         self.spec = spec
+        self._levels = None
         dim = self.local_dimension ** region.size
         if diagonals is not None:
-            self.diagonals = [np.asarray(d, dtype=float) for d in diagonals]
+            self.diagonals = _frozen(np.asarray(d, dtype=float) for d in diagonals)
             self.dense = None
             n = len(self.diagonals)
             shapes_ok = all(d.shape == (dim,) for d in self.diagonals)
         else:
-            self.dense = [np.asarray(m) for m in matrices]
+            self.dense = _frozen(np.asarray(m) for m in matrices)
             self.diagonals = None
             n = len(self.dense)
+            if n > 1:
+                raise UsageError("dense families hold a single observable; "
+                                 "commuting observables are stored as diagonals")
             shapes_ok = all(m.shape == (dim, dim) for m in self.dense)
             for m in self.dense:
                 if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
@@ -184,6 +190,27 @@ class ObservableFamily:
             raise UsageError("family needs at least one observable")
         if len(self.labels) != n:
             raise UsageError("one label per observable required")
+
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct joint eigenvalue rows and the log of their multiplicities.
+
+        Row ``k`` of the first array holds the eigenvalues of (Q_0, Q_1, ...)
+        on one joint eigenspace, whose dimension is ``exp`` of entry ``k`` of
+        the second. Diagonal families are grouped exactly: equal quantum
+        numbers give bitwise-equal floats. A dense family is diagonalized,
+        each eigenvalue counted once. Computed on first use and kept; two
+        threads asking at once at worst both compute it.
+        """
+        if self._levels is None:
+            if self.is_diagonal:
+                rows, counts = np.unique(np.stack(self.diagonals, axis=1), axis=0,
+                                         return_counts=True)
+                log_mult = np.log(counts)
+            else:
+                rows = np.linalg.eigvalsh(self.dense[0])[:, None]
+                log_mult = np.zeros(rows.shape[0])
+            self._levels = _frozen((rows, log_mult))
+        return self._levels
 
     @property
     def dim(self) -> int:
@@ -276,6 +303,14 @@ class StructureReport:
     split: tuple | None
 
 
+def _frozen(arrays) -> tuple:
+    """Read-only views of the given arrays; their owners stay writeable."""
+    views = tuple(a.view() for a in arrays)
+    for view in views:
+        view.setflags(write=False)
+    return views
+
+
 def _site_spins(n_sites: int) -> np.ndarray:
     """(n_sites, 2^n) array of sigma_z values per site and basis state."""
     idx = np.arange(2**n_sites, dtype=np.int64)
@@ -284,8 +319,10 @@ def _site_spins(n_sites: int) -> np.ndarray:
 
 
 def _pauli():
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
+    # the chain needs only the real Paulis, so its Hamiltonian stays real:
+    # half the memory of a complex one and a real eigensolve
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
     return sx, sz
 
 
@@ -317,7 +354,7 @@ def build_model(spec: ModelSpec, region: Region, cap: int = DIMENSION_CAP) -> Ob
 
     if spec.kind == "transverse_ising_chain":
         sx, sz = _pauli()
-        ham = np.zeros((dim, dim), dtype=complex)
+        ham = np.zeros((dim, dim))
         last = n if region.boundary == "periodic" else n - 1
         for i in range(last):
             ham -= spec.J * lift_site_operator(sz, i, n) @ lift_site_operator(sz, (i + 1) % n, n)
@@ -379,14 +416,9 @@ def verify_family(family: ObservableFamily) -> StructureReport:
     extensivity entry needs the generating ModelSpec and at least two sites.
     """
     herm = 0.0
-    comm = 0.0
     if not family.is_diagonal:
-        for m in family.dense:
-            herm = max(herm, float(np.max(np.abs(m - m.conj().T))))
-        for a in range(family.n_observables):
-            for b in range(a + 1, family.n_observables):
-                c = family.dense[a] @ family.dense[b] - family.dense[b] @ family.dense[a]
-                comm = max(comm, float(np.max(np.abs(c))))
+        m = family.dense[0]
+        herm = float(np.max(np.abs(m - m.conj().T)))
 
     gram_min = float(np.min(np.linalg.eigvalsh(family.gram_matrix())))
 
@@ -407,7 +439,8 @@ def verify_family(family: ObservableFamily) -> StructureReport:
         kind=family.spec.kind if family.spec else None,
         n_sites=family.region.size,
         hermiticity_defect=herm,
-        commutator_norm=comm,
+        # diagonal observables commute and a dense family holds only one
+        commutator_norm=0.0,
         gram_min_eigenvalue=gram_min,
         translation_defect=trans,
         extensivity_defects=defects,

@@ -63,6 +63,36 @@ def enumerate_curie_weiss_logz(n, beta, j, h):
     return float(shift + np.log(np.exp(log_terms - shift).sum()))
 
 
+def transverse_ising_matrix(n, j, hx, periodic=True):
+    """Dense H = -j sum sz_k sz_k+1 - hx sum sx_k, built entry by entry.
+
+    sz sz is diagonal in the configuration basis (site 0 in the most
+    significant bit, bit 0 meaning sz = +1) and sx_k flips bit n-1-k.
+    """
+    dim = 2**n
+    ham = np.zeros((dim, dim))
+    bonds = range(n) if periodic else range(n - 1)
+    for config in range(dim):
+        spins = [1 - 2 * ((config >> (n - 1 - k)) & 1) for k in range(n)]
+        ham[config, config] = -j * sum(spins[k] * spins[(k + 1) % n] for k in bonds)
+        for k in range(n):
+            ham[config ^ (1 << (n - 1 - k)), config] -= hx
+    return ham
+
+
+def open_transverse_ising_logz(n, beta, j, hx):
+    """ln Z of the open transverse-field chain from its free-fermion modes.
+
+    The mode energies are the nonnegative eigenvalues of the 2n x 2n chiral
+    matrix [[0, B], [B^T, 0]], B bidiagonal with hx on the diagonal and j
+    above it (Lieb, Schultz and Mattis); Z = prod_k 2 cosh(beta eps_k).
+    """
+    b = np.diag(np.full(n, float(hx))) + np.diag(np.full(n - 1, float(j)), 1)
+    chiral = np.block([[np.zeros((n, n)), b], [b.T, np.zeros((n, n))]])
+    eps = np.linalg.eigvalsh(chiral)[n:]
+    return float(np.sum(np.logaddexp(beta * eps, -beta * eps)))
+
+
 def mean_field_fixed_point(theta0, tol=1e-12):
     """Positive solution of m = tanh(theta0 * m), by bisection."""
     if theta0 <= 1.0:

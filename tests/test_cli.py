@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import free_spin_pressure, ising_log_lambda_plus, mean_field_fixed_point
+import thermolab.gibbs as gibbs
 from thermolab import ConfigError, CurveSamples
 from thermolab.cli import Config, _parse_number_list, main, run_experiment
 
@@ -320,3 +321,75 @@ class TestMainEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["subcommand"] == "pressure"
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize("sizes", ["3, 4, inf", "3, 4, nan", "3, 4, -inf"])
+    def test_non_finite_sizes_are_config_errors(self, tmp_path, capsys, sizes):
+        path = write_config(tmp_path, f"model = free_spins\ntheta0 = 0\nsizes = {sizes}\n")
+        with pytest.raises(ConfigError) as exc:
+            run_experiment("pressure", path, tmp_path / "out")
+        assert "sizes" in str(exc.value)
+        code = main(["pressure", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "sizes" in capsys.readouterr().err
+
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, "model = free_spins\ntheta0 = 0\nsizes = 3:5\n")
+        with pytest.raises(ConfigError):
+            run_experiment("pressure", path, tmp_path / "out", seed=-1)
+        code = main(["pressure", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--seed", "-1"])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_range_points_lie_on_the_decimal_grid(self):
+        values = _parse_number_list("-0.1:0.1:0.01")
+        assert values == [float(f"{k / 100:.2f}") for k in range(-10, 11)]
+        assert values[10] == 0.0 and math.copysign(1.0, values[10]) == 1.0
+        assert _parse_number_list("0:0.3:0.1") == [0.0, 0.1, 0.2, 0.3]
+        assert all(type(v) is float for v in values)
+
+    @pytest.mark.parametrize("text", ["0:inf", "nan:1:0.1", "0:1:inf", "0:1e9:1e-9"])
+    def test_unbounded_ranges_are_config_errors(self, tmp_path, text):
+        cfg = Config.load(write_config(tmp_path, f"theta0 = {text}\n"))
+        with pytest.raises(ConfigError) as exc:
+            cfg.get_floats("theta0")
+        assert "theta0" in str(exc.value)
+
+
+class TestPressureSweepBuilds:
+    def test_each_size_built_once_per_sweep(self, tmp_path, monkeypatch):
+        calls = []
+        build = gibbs.build_model
+
+        def counting_build(*args, **kwargs):
+            calls.append(args[1].size)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(gibbs, "build_model", counting_build)
+        path = write_config(tmp_path, """
+        model = ising_chain
+        J = 0.9
+        h = 0.3
+        theta0 = 0.2:2.4:0.2
+        theta1 = 0.0
+        sizes = 4:9
+        fit = geometric
+        """)
+        interval = sys.getswitchinterval()
+        for threads in (1, 4):
+            gibbs.release_families()
+            calls.clear()
+            # frequent thread switches give concurrent misses on the memo a chance
+            sys.setswitchinterval(1e-5)
+            try:
+                manifest = run_experiment("pressure", path, tmp_path / f"t{threads}",
+                                          threads=threads)
+            finally:
+                sys.setswitchinterval(interval)
+            assert manifest["artifacts"][0]["rows"] == 12 * 6
+            assert sorted(calls) == list(range(4, 10))
+        assert body_lines(tmp_path / "t1" / "pressure.csv") == body_lines(
+            tmp_path / "t4" / "pressure.csv"
+        )

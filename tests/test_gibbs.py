@@ -9,11 +9,15 @@ from oracles import (
     enumerate_spin_chain_logz,
     free_spin_pressure,
     ising_log_lambda_plus,
+    open_transverse_ising_logz,
+    transverse_ising_matrix,
     two_level_gibbs,
 )
 from thermolab import (
     DensityState,
     ModelSpec,
+    ObservableFamily,
+    Region,
     UsageError,
     build_model,
     canonical_state,
@@ -309,3 +313,94 @@ class TestPressureLimit:
             pressure_limit(spec, [1.0], [4, 6, 7], fit="geometric")
         with pytest.raises(UsageError):
             pressure_limit(spec, [1.0], [4, 6, 8], fit="fourier")
+
+
+def _state_sum_pressure(theta, energies, n):
+    """phi_N from a shifted sum over all 2^N values of theta.Q."""
+    lam = np.asarray(theta, dtype=float) @ np.atleast_2d(energies)
+    shift = lam.min()
+    return (math.log(np.exp(-(lam - shift)).sum()) - shift) / n
+
+
+class TestLevelTablePressure:
+    """finite_pressure sums over joint levels; references sum over states."""
+
+    THETAS = ([0.7, 0.0], [1.3, -0.4], [0.4, 0.9])
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_free_spins(self, n):
+        spec = ModelSpec("free_spins")
+        fam = build_model(spec, spec.region(n))
+        for t0 in (0.3, 1.7):
+            got = finite_pressure(fam, [t0])
+            assert_allclose(got, _state_sum_pressure([t0], fam.diagonals, n), rtol=1e-13)
+            assert_allclose(got, free_spin_pressure(t0), rtol=1e-13)
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_ising_chain(self, n, boundary):
+        j, h = 0.9, 0.35
+        fam = ising(n, j=j, h=h, boundary=boundary)
+        for th in self.THETAS:
+            got = finite_pressure(fam, th)
+            assert_allclose(got, _state_sum_pressure(th, fam.diagonals, n), rtol=1e-13)
+            # theta.Q = theta_0 (-j bonds - (h - theta_1/theta_0) M)
+            logz = enumerate_spin_chain_logz(n, th[0], j, h - th[1] / th[0],
+                                             periodic=boundary == "periodic")
+            assert_allclose(got, logz / n, rtol=1e-13)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_curie_weiss(self, n):
+        j, h = 1.2, 0.1
+        spec = ModelSpec("curie_weiss", J=j, h=h)
+        fam = build_model(spec, spec.region(n))
+        for th in self.THETAS:
+            got = finite_pressure(fam, th)
+            assert_allclose(got, _state_sum_pressure(th, fam.diagonals, n), rtol=1e-13)
+            logz = enumerate_curie_weiss_logz(n, th[0], j, h - th[1] / th[0])
+            assert_allclose(got, logz / n, rtol=1e-13)
+
+    # the dense kron build needs about 1 GB at 12 sites, so 2..8 here
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_transverse_ising_chain(self, n, boundary):
+        j, hx = 0.9, 0.6
+        spec = ModelSpec("transverse_ising_chain", J=j, hx=hx, boundary=boundary)
+        fam = build_model(spec, spec.region(n))
+        spectrum = np.linalg.eigvalsh(transverse_ising_matrix(n, j, hx, boundary == "periodic"))
+        for t0 in (0.4, 1.3):
+            got = finite_pressure(fam, [t0])
+            assert_allclose(got, _state_sum_pressure([t0], spectrum, n), rtol=1e-13)
+            if boundary == "open":
+                assert_allclose(got, open_transverse_ising_logz(n, t0, j, hx) / n, rtol=1e-13)
+
+    def test_levels_group_degenerate_states(self):
+        n = 10
+        spec = ModelSpec("curie_weiss", J=1.0, h=0.2)
+        rows, log_mult = build_model(spec, spec.region(n)).levels()
+        assert rows.shape == (n + 1, 2)
+        counts = sorted(round(c) for c in np.exp(log_mult))
+        assert counts == sorted(math.comb(n, k) for k in range(n + 1))
+        fam = ising(n, j=1.0, h=0.3)
+        rows, log_mult = fam.levels()
+        assert len(rows) <= (n + 1) ** 2
+        assert round(float(np.exp(log_mult).sum())) == 2**n
+        assert fam.levels() is fam.levels()
+
+    def test_family_arrays_are_read_only(self):
+        fam = ising(4)
+        with pytest.raises(ValueError):
+            fam.diagonals[0][0] = 5.0
+        rows, log_mult = fam.levels()
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            log_mult[0] = 1.0
+        spec = ModelSpec("transverse_ising_chain", J=1.0, hx=0.5)
+        with pytest.raises(ValueError):
+            build_model(spec, spec.region(3)).dense[0][0, 0] = 1.0
+
+    def test_dense_family_holds_one_observable(self):
+        with pytest.raises(UsageError):
+            ObservableFamily(Region("single_sites", 1), ("a", "b"),
+                             matrices=[np.eye(2), np.diag([1.0, -1.0])])
