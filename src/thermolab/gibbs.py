@@ -234,7 +234,7 @@ def _aitken_tail(narr: np.ndarray, phis: np.ndarray, step: float) -> tuple[float
     else:
         value = float(increments[-1])
         err = float(np.max(np.abs(np.diff(increments)))) if len(increments) > 1 else 0.0
-    return value, max(err, 1e-15)
+    return value, err
 
 
 def _two_mode_value(narr: np.ndarray, phis: np.ndarray, step: float) -> float | None:
@@ -259,6 +259,15 @@ def _two_mode_value(narr: np.ndarray, phis: np.ndarray, step: float) -> float | 
     if dominant <= 0.0 or not math.isfinite(dominant):
         return None
     return ref + math.log(dominant) / step
+
+
+def _roundoff_floor(narr: np.ndarray, value: float) -> float:
+    """Least error a geometric fit may report: the roundoff it inherits.
+
+    ln Z_N = N phi_N carries an absolute roundoff of about eps N |phi_N|,
+    and the fitted per-site value inherits it from the largest size.
+    """
+    return float(np.finfo(float).eps * narr[-1] * (1.0 + abs(value)))
 
 
 @functools.lru_cache(maxsize=FAMILY_MEMO_SIZE)
@@ -297,7 +306,8 @@ def pressure_limit(spec: ModelSpec, theta, sizes, fit: str = "affine",
     scaled partition sums to a two-mode linear recurrence and takes its
     dominant root, falling back to Aitken acceleration of the increments of
     N*phi_N when the recurrence has no positive dominant root; needs
-    uniformly spaced sizes. Sizes must be strictly increasing with at least
+    uniformly spaced sizes; its error is never less than the roundoff of
+    N*phi_N at the largest size. Sizes must be strictly increasing with at least
     3 entries. Each size's family is built once and kept for later calls
     (see ``FAMILY_MEMO_SIZE`` and ``release_families``).
     """
@@ -326,13 +336,12 @@ def pressure_limit(spec: ModelSpec, theta, sizes, fit: str = "affine",
     value = _two_mode_value(narr, phis, step)
     if value is None:
         value, err = _aitken_tail(narr, phis, step)
-        return PressureEstimate(value, per_size, err, fit)
-    if len(narr) >= 6:
+    elif len(narr) >= 6:
         tail = _two_mode_value(narr[-4:], phis[-4:], step)
         err = abs(value - tail) if tail is not None else abs(value - float(phis[-1]))
     else:
         err = abs(value - float(phis[-1]))
-    return PressureEstimate(value, per_size, max(err, 1e-15), fit)
+    return PressureEstimate(value, per_size, max(err, _roundoff_floor(narr, value)), fit)
 
 
 def random_density_state(dim: int, rng: np.random.Generator) -> DensityState:

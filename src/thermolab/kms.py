@@ -12,6 +12,13 @@ with omega the psi_theta expectation. Both sides of each identity are
 evaluated through their own exponent assembly, so the residual measures the
 actual cancellation rather than restating one formula twice.
 
+Spectrally, each two-point function only needs the weight that A and B
+carry between each pair of joint levels (l, m), at the Bohr frequency
+E_l - E_m. The residuals therefore fold the dim x dim cross weights
+A~[j,k] B~[k,j] once per call into an L x L level-pair table, from the
+family's cached level view (:meth:`ObservableFamily.level_view`), and do
+all phases, Boltzmann weights and quadrature over the L^2 level pairs.
+
 Test functions are Gaussians: entire, rapidly decaying, and with f(t-i)
 available in closed form along the shifted line.
 """
@@ -26,10 +33,14 @@ import numpy as np
 
 from .convex import as_components
 from .errors import NumericRangeError, QuadratureError, ResourceError, UsageError
-from .lattice import ObservableFamily, lift_site_operator
+from .lattice import LevelView, ObservableFamily, lift_site_operator
 
-# Dense residual workloads build dim x dim frequency tables.
+# Residual checks still form the dim x dim cross table A~[j,k] B~[k,j] (and,
+# for a dense family, rotate both probes into its eigenbasis) before folding
+# it over level pairs.
 _RESIDUAL_DIM_CAP = 2**10
+# Rows of A~ per strip when the cross table is folded over level pairs.
+_FOLD_ROWS = 64
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -101,12 +112,17 @@ class GaussianTestFunction:
         return math.sqrt(1.0 + 2.0 * self.sigma_w**2 * math.log(1.0 / eps))
 
 
-def _spectral_data(family: ObservableFamily, theta):
-    gen = family.control_generator(theta)
-    if gen.ndim == 1:
-        return gen, None
-    lam, vec = np.linalg.eigh(gen)
-    return lam, vec
+def _spectrum(family: ObservableFamily, theta) -> tuple[LevelView, np.ndarray]:
+    """The family's cached level view and theta.Q on each of its levels.
+
+    The level energies are summed in the order control_generator uses, so a
+    diagonal family's energies equal its generator's entries bit for bit.
+    """
+    view = family.level_view()
+    energy = np.zeros(view.rows.shape[0])
+    for c, column in zip(as_components(theta, family.n_observables), view.rows.T):
+        energy += c * column
+    return view, energy
 
 
 def _rotate(op: np.ndarray, vec: np.ndarray | None) -> np.ndarray:
@@ -129,25 +145,52 @@ def evolve(a: TestOperator, family: ObservableFamily, theta, t: float) -> TestOp
     if not math.isfinite(t):
         raise UsageError(f"time {t} is not finite")
     _check_dims(family, a)
-    lam, vec = _spectral_data(family, theta)
-    tilde = _rotate(a.matrix, vec)
-    phases = np.exp(1j * lam * t)
+    view, energy = _spectrum(family, theta)
+    tilde = _rotate(a.matrix, view.basis)
+    phases = np.exp(1j * energy[view.index] * t)
     moved = (phases[:, None] * tilde) * phases.conj()[None, :]
-    if vec is not None:
-        moved = vec @ moved @ vec.conj().T
+    if view.basis is not None:
+        moved = view.basis @ moved @ view.basis.conj().T
     return TestOperator(moved, f"alpha[{t}]({a.label})")
 
 
+def _folded_cross(atil: np.ndarray, btil: np.ndarray, index: np.ndarray,
+                  n_levels: int) -> np.ndarray:
+    """cross[l, m]: the sum of A~[j,k] B~[k,j] over j in level l and k in level m.
+
+    Built one strip of _FOLD_ROWS rows of A~ at a time, so each strip of the
+    product and its level-pair indices stay in cache and B~ is read by
+    column strips rather than transposed whole.
+    """
+    size = n_levels * n_levels
+    real = np.zeros(size)
+    imag = np.zeros(size)
+    for start in range(0, len(index), _FOLD_ROWS):
+        rows = slice(start, start + _FOLD_ROWS)
+        strip = atil[rows] * btil[:, rows].T
+        pair = np.add.outer(index[rows] * n_levels, index).ravel()
+        real += np.bincount(pair, weights=strip.real.ravel(), minlength=size)
+        imag += np.bincount(pair, weights=strip.imag.ravel(), minlength=size)
+    return (real + 1j * imag).reshape(n_levels, n_levels)
+
+
 def _residual_tables(family: ObservableFamily, theta, a: TestOperator, b: TestOperator):
-    """Shared spectral tables: shifted levels, log partition, cross weights."""
-    lam, vec = _spectral_data(family, theta)
+    """Shared level-pair tables: shifted levels, log partition, folded cross weights.
+
+    cross[l, m] sums A~[j,k] B~[k,j] over the basis vectors j of level l and
+    k of level m; delta[l, m] = lam_l - lam_m are the Bohr frequencies.
+    """
+    view, lam = _spectrum(family, theta)
     lam = lam - lam.min()  # spectral shift; cancels in conjugations and in omega
-    log_z = math.log(float(np.exp(-lam).sum()))
+    log_z = math.log(float(np.exp(view.log_mult - lam).sum()))
     if not math.isfinite(log_z):
         raise NumericRangeError("partition sum left the representable range")
-    atil = _rotate(a.matrix, vec)
-    btil = _rotate(b.matrix, vec)
-    cross = atil * btil.T  # cross[j, k] = A~[j,k] B~[k,j]
+    atil = _rotate(a.matrix, view.basis)
+    btil = _rotate(b.matrix, view.basis)
+    if view.basis is None:
+        cross = _folded_cross(atil, btil, view.index, len(lam))
+    else:  # one level per eigenvector: the unfolded table A~[j,k] B~[k,j]
+        cross = atil * btil.T
     delta = lam[:, None] - lam[None, :]
     return lam, log_z, cross, delta
 
@@ -167,10 +210,10 @@ def kms_residual(family: ObservableFamily, theta, a: TestOperator, b: TestOperat
     _check_dims(family, a, b)
     lam, log_z, cross, delta = _residual_tables(family, theta, a, b)
     phase = np.exp(1j * delta * t)
-    # omega(alpha_t(A) B): weight e^{-lam_j} / Z on the j index
+    # omega(alpha_t(A) B): weight e^{-lam_l} / Z on the l index
     lhs = np.sum(np.exp(-lam[:, None] - log_z) * phase * cross)
-    # omega(B alpha_{t+i}(A)): weight e^{-lam_k} / Z and the analytic
-    # continuation factor e^{-(lam_j - lam_k)} from the complex time
+    # omega(B alpha_{t+i}(A)): weight e^{-lam_m} / Z and the analytic
+    # continuation factor e^{-(lam_l - lam_m)} from the complex time
     rhs = np.sum(np.exp(-lam[None, :] - delta - log_z) * phase * cross)
     if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
         raise NumericRangeError("guarded exponential overflowed in kms_residual")
@@ -180,8 +223,7 @@ def kms_residual(family: ObservableFamily, theta, a: TestOperator, b: TestOperat
 def default_quadrature_step(family: ObservableFamily, theta,
                             f: GaussianTestFunction) -> float:
     """Trapezoid step resolving the fastest Bohr frequency of theta.Q."""
-    gen = family.control_generator(theta)
-    lam = gen if gen.ndim == 1 else np.linalg.eigvalsh(gen)
+    _, lam = _spectrum(family, theta)
     spread = float(lam.max() - lam.min())
     return min(0.1, math.pi / (2.0 * spread + 12.0 / f.sigma_w + 2.0))
 
@@ -194,7 +236,8 @@ def kms_smeared_residual(family: ObservableFamily, theta, a: TestOperator, b: Te
     LHS(t) = omega(alpha_t(A) B), RHS(t) = omega(B alpha_t(A)); trapezoidal
     quadrature over [-t_range, t_range]. The range defaults to where
     |f| > 1e-14 on the strip and the step to resolving the fastest Bohr
-    frequency of theta.Q. A step-halving disagreement above 1e-6 raises
+    frequency of theta.Q. A step-halving disagreement above
+    1e-6 * max|A| * max|B| (entrywise, see TestOperator.max_norm) raises
     QuadratureError; the half-step value is returned otherwise.
     """
     _check_dims(family, a, b)
@@ -223,7 +266,7 @@ def kms_smeared_residual(family: ObservableFamily, theta, a: TestOperator, b: Te
 
     coarse = residual_at(step)
     fine = residual_at(step / 2.0)
-    if abs(coarse - fine) > 1e-6:
+    if abs(coarse - fine) > 1e-6 * a.max_norm() * b.max_norm():
         raise QuadratureError(
             f"step-halving disagreement {abs(coarse - fine):.3e} at step {step:.3e}"
         )

@@ -167,6 +167,7 @@ class ObservableFamily:
         self.labels = tuple(labels)
         self.spec = spec
         self._levels = None
+        self._level_view = None
         dim = self.local_dimension ** region.size
         if diagonals is not None:
             self.diagonals = _frozen(np.asarray(d, dtype=float) for d in diagonals)
@@ -211,6 +212,27 @@ class ObservableFamily:
                 log_mult = np.zeros(rows.shape[0])
             self._levels = _frozen((rows, log_mult))
         return self._levels
+
+    def level_view(self) -> "LevelView":
+        """The joint levels together with the level of each basis vector.
+
+        Diagonal families keep the product basis and take the exact grouping
+        of :meth:`levels`, with each state's level index. The dense family is
+        diagonalized once; each eigenvector is a level of its own. Computed
+        on first use and kept, apart from :meth:`levels`, so pressure sweeps
+        never pay for the index or the eigenvectors; two threads asking at
+        once at worst both compute it.
+        """
+        if self._level_view is None:
+            if self.is_diagonal:
+                rows, index, counts = np.unique(np.stack(self.diagonals, axis=1), axis=0,
+                                                return_inverse=True, return_counts=True)
+                view = _frozen((rows, np.log(counts), index.reshape(-1))) + (None,)
+            else:
+                lam, vec = np.linalg.eigh(self.dense[0])
+                view = _frozen((lam[:, None], np.zeros(self.dim), np.arange(self.dim), vec))
+            self._level_view = LevelView(*view)
+        return self._level_view
 
     @property
     def dim(self) -> int:
@@ -257,6 +279,21 @@ class ObservableFamily:
                     val = float(np.real(np.trace(self.dense[a].conj().T @ self.dense[b]))) / self.dim
                 g[a, b] = g[b, a] = val
         return g
+
+
+@dataclass(frozen=True)
+class LevelView:
+    """Joint levels of a family and the level each basis vector lies in.
+
+    ``rows`` and ``log_mult`` are as in :meth:`ObservableFamily.levels`.
+    Basis vector j, the j-th product state when ``basis`` is None and
+    column j of ``basis`` otherwise, lies in level ``index[j]``.
+    """
+
+    rows: np.ndarray
+    log_mult: np.ndarray
+    index: np.ndarray
+    basis: np.ndarray | None
 
 
 @dataclass(frozen=True)

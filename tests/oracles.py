@@ -80,6 +80,43 @@ def transverse_ising_matrix(n, j, hx, periodic=True):
     return ham
 
 
+def spin_model_diagonals(kind, n, j=0.0, h=0.0, periodic=True):
+    """Observables of a diagonal built-in model, configuration by configuration.
+
+    free_spins: (number of down spins,); ising_chain and curie_weiss:
+    (energy, total sz), in the basis convention of transverse_ising_matrix.
+    """
+    columns = []
+    for config in range(2**n):
+        spins = [1 - 2 * ((config >> (n - 1 - k)) & 1) for k in range(n)]
+        m = sum(spins)
+        if kind == "free_spins":
+            columns.append((sum((1 - s) // 2 for s in spins),))
+        elif kind == "ising_chain":
+            bonds = range(n) if periodic else range(n - 1)
+            bond_sum = sum(spins[k] * spins[(k + 1) % n] for k in bonds)
+            columns.append((-j * bond_sum - h * m, m))
+        elif kind == "curie_weiss":
+            columns.append((-(j / (2.0 * n)) * m * m - h * m, m))
+        else:
+            raise ValueError(f"no diagonal observables for {kind!r}")
+    return [np.array(col, dtype=float) for col in zip(*columns)]
+
+
+def thermal_two_point(gen, a, b, t):
+    """Tr(rho alpha_t(A) B) for rho = e^-G / Tr e^-G and alpha_t(A) = e^iGt A e^-iGt.
+
+    Every factor is a dense matrix built from one eigendecomposition of the
+    dense hermitian generator G.
+    """
+    lam, vec = np.linalg.eigh(gen)
+    weights = np.exp(-(lam - lam.min()))
+    rho = (vec * (weights / weights.sum())) @ vec.conj().T
+    unitary = (vec * np.exp(1j * lam * t)) @ vec.conj().T
+    moved = unitary @ a @ unitary.conj().T
+    return complex(np.trace(rho @ moved @ b))
+
+
 def open_transverse_ising_logz(n, beta, j, hx):
     """ln Z of the open transverse-field chain from its free-fermion modes.
 

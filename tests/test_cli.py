@@ -393,3 +393,30 @@ class TestPressureSweepBuilds:
         assert body_lines(tmp_path / "t1" / "pressure.csv") == body_lines(
             tmp_path / "t4" / "pressure.csv"
         )
+
+
+class TestKmsVerifyThreads:
+    """Theta threads share the family's lazily built level view."""
+
+    @pytest.mark.parametrize("model", [
+        "model = ising_chain\nJ = 1.0\nh = 0.3\nN = 5\ntheta1 = -0.2, 0.0, 0.4\n",
+        "model = transverse_ising_chain\nJ = 1.0\nhx = 0.6\nboundary = open\nN = 4\n",
+    ], ids=["ising_chain", "transverse_ising_chain"])
+    def test_threads_do_not_change_output(self, tmp_path, model):
+        path = write_config(tmp_path, model + """
+        theta0 = 0.4:2.0:0.4
+        times = 0.3, 1.7
+        sigma_w = 2.0
+        smeared_probes = 2
+        """)
+        interval = sys.getswitchinterval()
+        for threads in (1, 2):
+            # frequent thread switches give both threads a chance to build the view
+            sys.setswitchinterval(1e-5)
+            try:
+                run_experiment("kms-verify", path, tmp_path / f"t{threads}", seed=3,
+                               threads=threads)
+            finally:
+                sys.setswitchinterval(interval)
+        for name in ("residuals.csv", "smeared.csv"):
+            assert body_lines(tmp_path / "t1" / name) == body_lines(tmp_path / "t2" / name)

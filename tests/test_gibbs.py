@@ -29,6 +29,7 @@ from thermolab import (
     variational_gap,
     von_neumann_entropy,
 )
+import thermolab.gibbs as gibbs
 from thermolab.gibbs import expectation_vector
 
 LN2 = 0.6931471805599453
@@ -404,3 +405,33 @@ class TestLevelTablePressure:
         with pytest.raises(UsageError):
             ObservableFamily(Region("single_sites", 1), ("a", "b"),
                              matrices=[np.eye(2), np.diag([1.0, -1.0])])
+
+
+class TestGeometricErrorBar:
+    """On the transfer-matrix oracle the reported error covers the actual one."""
+
+    @pytest.mark.parametrize("theta0", [0.5, 1.0, 2.0])
+    def test_error_covers_oracle_distance(self, theta0):
+        # the shipped configs/pressure_ising.cfg case
+        spec = ModelSpec("ising_chain", J=1.0, h=0.5)
+        est = pressure_limit(spec, [theta0, 0.0], list(range(4, 15)), fit="geometric")
+        actual = abs(est.value - ising_log_lambda_plus(theta0, 1.0, 0.5))
+        assert est.extrapolation_error >= actual
+        assert est.extrapolation_error <= 1e-12
+
+
+class TestPressureLeavesLevelViewUnbuilt:
+    """Pressure sweeps read levels() only: no level index, no eigenvectors."""
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec("ising_chain", J=1.0, h=0.3),
+        ModelSpec("transverse_ising_chain", J=1.0, hx=0.5, boundary="open"),
+    ], ids=lambda s: s.kind)
+    def test_sweep_families_have_no_level_view(self, spec):
+        gibbs.release_families()
+        try:
+            pressure_limit(spec, [0.8] * spec.n_observables, [3, 4, 5])
+            for n in (3, 4, 5):
+                assert gibbs._family(spec, n, gibbs.DIMENSION_CAP)._level_view is None
+        finally:
+            gibbs.release_families()

@@ -21,7 +21,15 @@ from thermolab import (
     kms_theta_discrimination,
     site_pauli,
 )
-from thermolab.kms import PAULI_X, PAULI_Y, PAULI_Z, random_hermitian
+from oracles import spin_model_diagonals, thermal_two_point, transverse_ising_matrix
+from thermolab.kms import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    _residual_tables,
+    default_quadrature_step,
+    random_hermitian,
+)
 from thermolab.lattice import ObservableFamily, Translation
 
 
@@ -250,3 +258,120 @@ def test_test_operator_validation():
         TestOperator(np.ones((2, 3)), "bad")
     with pytest.raises(UsageError):
         TestOperator(np.array([[np.nan, 0], [0, 1]]), "bad")
+
+
+class TestFoldedTwoPointFunction:
+    """The level-pair tables against Tr(rho alpha_t(A) B) from dense matrices.
+
+    kms_residual <= bound cannot catch a wrong fold: both sides are built
+    from the same table, so they agree whatever it holds.
+    """
+
+    CASES = [
+        (ModelSpec("free_spins"), 1),
+        (ModelSpec("free_spins"), 5),
+        (ModelSpec("ising_chain", J=0.9, h=0.35, boundary="periodic"), 3),
+        (ModelSpec("ising_chain", J=0.9, h=0.35, boundary="periodic"), 6),
+        (ModelSpec("ising_chain", J=-0.6, h=0.2, boundary="open"), 5),
+        (ModelSpec("curie_weiss", J=1.2, h=0.1), 6),
+        (ModelSpec("transverse_ising_chain", J=0.9, hx=0.6, boundary="open"), 5),
+        (ModelSpec("transverse_ising_chain", J=1.0, hx=0.4, boundary="periodic"), 6),
+    ]
+
+    @staticmethod
+    def dense_generator(spec, n, theta):
+        periodic = spec.boundary == "periodic"
+        if spec.kind == "transverse_ising_chain":
+            return theta[0] * transverse_ising_matrix(n, spec.J, spec.hx, periodic)
+        diagonals = spin_model_diagonals(spec.kind, n, spec.J, spec.h, periodic)
+        return np.diag(sum(c * d for c, d in zip(theta, diagonals)))
+
+    @pytest.mark.parametrize("spec,n", CASES, ids=lambda c: getattr(c, "kind", c))
+    def test_matches_dense_oracle(self, spec, n):
+        fam = build_model(spec, spec.region(n))
+        theta = [0.8, -0.35][: fam.n_observables]
+        gen = self.dense_generator(spec, n, theta)
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            a = random_hermitian(fam.dim, rng)
+            b = random_hermitian(fam.dim, rng)
+            lam, log_z, cross, delta = _residual_tables(fam, theta, a, b)
+            for t in (0.0, 0.9, -3.7):
+                folded = np.sum(np.exp(-lam[:, None] - log_z) * cross * np.exp(1j * delta * t))
+                expected = thermal_two_point(gen, a.matrix, b.matrix, t)
+                assert abs(folded - expected) <= 1e-12, (spec, n, t)
+
+    def test_degenerate_levels_are_folded(self):
+        fam = ising(6, j=1.0, h=0.0)
+        a = site_pauli("x", 0, 6)
+        _, _, cross, delta = _residual_tables(fam, [1.0, 0.0], a, a)
+        n_levels = len(fam.levels()[0])
+        assert n_levels < fam.dim
+        assert cross.shape == delta.shape == (n_levels, n_levels)
+
+
+def _count_eigensolves(monkeypatch) -> list:
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counting(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+class TestDenseFamilyDiagonalizedOnce:
+    """A dense family is diagonalized once; every KMS entry point reuses it."""
+
+    @staticmethod
+    def open_chain(n):
+        spec = ModelSpec("transverse_ising_chain", J=1.0, hx=0.7, boundary="open")
+        return build_model(spec, spec.region(n))
+
+    def test_residuals_and_step_share_one_eigensolve(self, monkeypatch):
+        fam = self.open_chain(6)
+        a, b = site_pauli("x", 0, 6), site_pauli("z", 3, 6)
+        calls = _count_eigensolves(monkeypatch)
+        for t in (0.0, 0.4, 1.1, 2.5, 4.0):
+            assert kms_residual(fam, [0.9], a, b, t) <= 1e-9
+        step = default_quadrature_step(fam, [0.9], GaussianTestFunction(2.0))
+        assert 0.0 < step <= 0.1
+        assert len(calls) == 1
+
+    def test_every_entry_point_reuses_it(self, monkeypatch):
+        fam = self.open_chain(4)
+        a, b = site_pauli("x", 0, 4), site_pauli("y", 1, 4)
+        calls = _count_eigensolves(monkeypatch)
+        evolve(a, fam, [1.1], 0.8)
+        kms_residual(fam, [1.1], a, b, 0.8)
+        kms_smeared_residual(fam, [0.7], a, b, GaussianTestFunction(2.0))
+        report = kms_theta_discrimination(fam, [1.0], [1.5], [(a, b, 0.6)])
+        assert report.distinguishable
+        assert len(calls) == 1
+
+    def test_dense_evolve_matches_matrix_exponential(self):
+        fam = self.open_chain(4)
+        a = site_pauli("x", 1, 4)
+        theta, t = 0.8, 1.3
+        lam, vec = np.linalg.eigh(theta * transverse_ising_matrix(4, 1.0, 0.7, False))
+        unitary = (vec * np.exp(1j * lam * t)) @ vec.conj().T
+        moved = evolve(a, fam, [theta], t)
+        assert_allclose(moved.matrix, unitary @ a.matrix @ unitary.conj().T, atol=1e-12)
+
+
+class TestQuadratureScale:
+    """The step-halving check is relative to max|A| * max|B|."""
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    def test_large_probes_at_default_step(self, scale):
+        fam = ising(4, j=1.0, h=0.5)
+        a = TestOperator(scale * site_pauli("x", 0, 4).matrix, f"{scale}*sx")
+        res = kms_smeared_residual(fam, [2.0, 0.0], a, a, GaussianTestFunction(2.0))
+        assert res <= 1e-13 * scale**2
+
+    def test_small_probes_under_resolved_detected(self):
+        fam = ising(4, j=1.0, h=0.5)
+        a = TestOperator(1e-4 * site_pauli("x", 0, 4).matrix, "1e-4*sx")
+        with pytest.raises(QuadratureError):
+            kms_smeared_residual(fam, [2.0, 0.0], a, a, GaussianTestFunction(2.0),
+                                 step=1.9)

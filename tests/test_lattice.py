@@ -229,3 +229,28 @@ def test_control_generator_combines_observables():
     assert_allclose(gen, 2.0 * fam.diagonals[0] + 0.5 * fam.diagonals[1])
     with pytest.raises(UsageError):
         fam.control_generator([1.0])
+
+
+class TestLevelView:
+    def test_diagonal_view_indexes_the_level_table(self):
+        spec = ModelSpec("ising_chain", J=1.0, h=0.3)
+        fam = build_model(spec, spec.region(6))
+        view = fam.level_view()
+        rows, log_mult = fam.levels()
+        assert np.array_equal(view.rows, rows)
+        assert np.array_equal(view.log_mult, log_mult)
+        assert view.basis is None
+        assert np.array_equal(view.rows[view.index], np.stack(fam.diagonals, axis=1))
+        assert fam.level_view() is view
+        with pytest.raises(ValueError):
+            view.index[0] = 1
+
+    def test_dense_view_is_an_eigenbasis(self):
+        spec = ModelSpec("transverse_ising_chain", J=1.0, hx=0.6, boundary="open")
+        fam = build_model(spec, spec.region(4))
+        view = fam.level_view()
+        vec, lam = view.basis, view.rows[:, 0]
+        assert np.array_equal(view.index, np.arange(fam.dim))
+        assert_allclose(vec.T @ vec, np.eye(fam.dim), atol=1e-12)
+        assert_allclose((vec * lam) @ vec.T, fam.dense[0], atol=1e-12)
+        assert_allclose(lam, fam.levels()[0][:, 0], atol=1e-12)
