@@ -275,7 +275,7 @@ def _theta_grid(cfg: Config, n_components: int) -> list[tuple]:
 # -- subcommand runners ----------------------------------------------------
 
 
-def _run_pressure(cfg: Config, writer: ArtifactWriter, rng, threads: int):
+def _run_pressure(cfg: Config, writer: ArtifactWriter, threads: int):
     spec = _model_from_config(cfg)
     sizes = cfg.get_ints("sizes", required=True)
     fit = cfg.get_str("fit", "affine", choices=("affine", "geometric"))
@@ -309,14 +309,14 @@ def _curve_from_config(cfg: Config, family: ErgodicFamily) -> CurveSamples:
     return entropy_curve(family, grid)
 
 
-def _run_entropy_curve(cfg: Config, writer: ArtifactWriter, rng, threads: int):
+def _run_entropy_curve(cfg: Config, writer: ArtifactWriter, threads: int):
     family = ErgodicFamily(_model_from_config(cfg))
     curve = _curve_from_config(cfg, family)
     writer.write_curve("entropy_curve.csv", curve)
     return {}
 
 
-def _run_legendre(cfg: Config, writer: ArtifactWriter, rng, threads: int):
+def _run_legendre(cfg: Config, writer: ArtifactWriter, threads: int):
     family = ErgodicFamily(_model_from_config(cfg))
     curve = _curve_from_config(cfg, family)
     thetas = _theta_grid(cfg, curve.ndim)
@@ -348,7 +348,7 @@ def _run_legendre(cfg: Config, writer: ArtifactWriter, rng, threads: int):
     return extras
 
 
-def _run_completeness(cfg: Config, writer: ArtifactWriter, rng, threads: int):
+def _run_completeness(cfg: Config, writer: ArtifactWriter, threads: int):
     family = ErgodicFamily(_model_from_config(cfg))
     mode = cfg.get_str("constrain", "energy", choices=("energy", "joint"))
     tol = cfg.get_float("tol", 1e-9)
@@ -370,7 +370,7 @@ def _run_completeness(cfg: Config, writer: ArtifactWriter, rng, threads: int):
     return {"verdict": report.verdict}
 
 
-def _run_kms_verify(cfg: Config, writer: ArtifactWriter, rng, threads: int):
+def _run_kms_verify(cfg: Config, writer: ArtifactWriter, threads: int):
     spec = _model_from_config(cfg)
     n = cfg.get_int("N", required=True)
     family = build_model(spec, spec.region(n))
@@ -417,7 +417,7 @@ def _run_kms_verify(cfg: Config, writer: ArtifactWriter, rng, threads: int):
     return {"max_residual": worst}
 
 
-def _run_diff_test(cfg: Config, writer: ArtifactWriter, rng, threads: int):
+def _run_diff_test(cfg: Config, writer: ArtifactWriter, threads: int):
     family = ErgodicFamily(_model_from_config(cfg))
     theta0 = cfg.get_float("theta0", required=True)
     step = cfg.get_float("kink_step", 1e-4)
@@ -490,10 +490,9 @@ def run_experiment(subcommand: str, config_path, out_dir, seed: int = 0,
     cfg = Config.load(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(seed)
 
     writer = ArtifactWriter(out, seed)
-    extras = _RUNNERS[subcommand](cfg, writer, rng, threads)
+    extras = _RUNNERS[subcommand](cfg, writer, threads)
     cfg.finalize()
     writer.flush(cfg.echo())
 

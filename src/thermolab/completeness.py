@@ -9,6 +9,12 @@ maximizers diagnoses whether the constrained observables pin a unique phase
 (multiplicity 1) or leave a symmetry-related pair (multiplicity 2, the
 ferromagnet scenario below the critical energy).
 
+The scan is split into monotone segments by one vectorized sign-flip test,
+once per component. Roots are refined by bisection and golden-section
+search on plain-float closures built once from the family's coefficients
+(``ErgodicFamily.component_offset``), the same ones ``density_component``
+evaluates scalars with.
+
 For the mean-field (complete graph) model this family is variationally exact
 in the large-volume limit; that restriction is recorded in every artifact
 header this module feeds.
@@ -102,12 +108,7 @@ class ErgodicFamily:
 
     def density_component(self, k: int, m):
         if np.ndim(m) == 0:
-            m = float(m)
-            if self.model.kind == "free_spins":
-                return (1.0 - m) / 2.0
-            if k == 1:
-                return m
-            return -self._energy_coefficient() * m * m - self.model.h * m
+            return self.component_offset(k, 0.0)(float(m))
         return self.densities(m)[..., k]
 
     def component_range(self, k: int) -> tuple[float, float]:
@@ -131,14 +132,26 @@ class ErgodicFamily:
             self._segments = {}
         if k not in self._segments:
             _, q, _ = self._scan_arrays()
-            direction = np.sign(np.diff(q[:, k]))
-            breaks = [0]
-            for i in range(1, len(direction)):
-                if direction[i] != 0 and direction[i - 1] != 0 and direction[i] != direction[i - 1]:
-                    breaks.append(i)
-            breaks.append(len(direction))
-            self._segments[k] = [(breaks[j], breaks[j + 1]) for j in range(len(breaks) - 1)]
+            d = np.sign(np.diff(q[:, k]))
+            # a break wherever the direction flips between two nonzero steps
+            flips = (d[1:] != 0) & (d[:-1] != 0) & (d[1:] != d[:-1])
+            breaks = [0, *(np.nonzero(flips)[0] + 1).tolist(), len(d)]
+            self._segments[k] = list(zip(breaks[:-1], breaks[1:]))
         return self._segments[k]
+
+    def component_offset(self, k: int, target: float):
+        """x -> q_k(x) - target on plain floats, for root refinement.
+
+        ``density_component`` evaluates scalars through it too, so both
+        agree bit for bit; refinement loops call it directly and skip the
+        per-call dispatch.
+        """
+        if self.model.kind == "free_spins":
+            return lambda x: (1.0 - x) / 2.0 - target
+        if k == 1:
+            return lambda x: x - target
+        c, h = self._energy_coefficient(), self.model.h
+        return lambda x: -c * x * x - h * x - target
 
 
 @dataclass(frozen=True)
@@ -250,7 +263,7 @@ def _component_roots(family: ErgodicFamily, k: int, target: float, tol: float):
     if hi_range <= target + tol and lo_range >= target - tol:
         return None  # continuum: component places no restriction
 
-    fn = lambda x: float(family.density_component(k, x) - target)
+    fn = family.component_offset(k, target)
     band = max(tol, 1e-8)
     accept = max(tol, 1e-9)
     step = float(m[1] - m[0])
@@ -328,11 +341,8 @@ def constrained_entropy_max(family: ErgodicFamily, constraint, tol: float = 1e-9
         return _continuum_maximum(family, cons, tol)
 
     candidates = sorted({x for roots in root_sets.values() for x in roots})
-    feasible = [
-        x
-        for x in candidates
-        if all(abs(family.density_component(k, x) - v) <= feas_tol for k, v in cons.items())
-    ]
+    offsets = [family.component_offset(k, v) for k, v in cons.items()]
+    feasible = [x for x in candidates if all(abs(fn(x)) <= feas_tol for fn in offsets)]
     if not feasible:
         reachable = {k: family.component_range(k) for k in cons}
         raise InfeasibleConstraintError(
@@ -420,11 +430,8 @@ def entropy_curve(family: ErgodicFamily, grid, tol: float = 1e-9) -> CurveSample
 
 def family_curve_constraints(family: ErgodicFamily, m_values) -> list[dict]:
     """Joint (all-component) constraints along the family's reachable curve."""
-    out = []
-    for m in np.asarray(m_values, dtype=float):
-        q = family.densities(float(m))
-        out.append({k: float(q[k]) for k in range(family.n_components)})
-    return out
+    q = family.densities(np.asarray(m_values, dtype=float))
+    return [dict(enumerate(row)) for row in q.tolist()]
 
 
 def mean_field_pressure(family: ErgodicFamily, theta) -> float:

@@ -113,14 +113,15 @@ class CurveSamples:
             raise DataError("non-finite grid point or value")
         if orientation not in (CONCAVE, CONVEX):
             raise UsageError(f"orientation must be 'concave' or 'convex', got {orientation!r}")
+        # coordinate scale for distance tests; fixed, as the grid is read-only
+        self.span = max(float(np.ptp(grid)), 1.0)
         if grid.shape[1] == 1:
             if grid.shape[0] > 1 and not np.all(np.diff(grid[:, 0]) > 0):
                 raise UsageError("one-dimensional grid must be strictly increasing")
         elif grid.shape[0] > 1:
             order = np.lexsort(grid.T[::-1])
             gaps = np.abs(np.diff(grid[order], axis=0)).max(axis=1)
-            span = max(float(np.ptp(grid)), 1.0)
-            if np.min(gaps) <= _ABSCISSA_FLOOR * span:
+            if np.min(gaps) <= _ABSCISSA_FLOOR * self.span:
                 raise UsageError("grid points must be pairwise distinct")
         self.grid = grid
         self.values = values
@@ -129,6 +130,7 @@ class CurveSamples:
         self.grid.setflags(write=False)
         self.values.setflags(write=False)
         self._axes_cache: tuple = ()  # () = not computed, (None,) or (list,)
+        self._lines: dict = {}  # axis k -> (lines, (line, position) of each sample)
 
     @property
     def npoints(self) -> int:
@@ -166,27 +168,45 @@ class CurveSamples:
         self._axes_cache = (result,)
         return result
 
+    def _axis_table(self, k: int) -> tuple:
+        if k not in self._lines:
+            groups: dict[tuple, list[int]] = {}
+            other = [j for j in range(self.ndim) if j != k]
+            for i, key in enumerate(map(tuple, self.grid[:, other].tolist())):
+                groups.setdefault(key, []).append(i)
+            lines, where = [], [None] * self.npoints
+            for idx in groups.values():
+                idx = np.asarray(idx)
+                line = idx[np.argsort(self.grid[idx, k])]
+                lines.append(line)
+                for pos, i in enumerate(line.tolist()):
+                    where[i] = (line, pos)
+            self._lines[k] = (lines, where)
+        return self._lines[k]
+
     def axis_lines(self, k: int) -> list[np.ndarray]:
-        """Sample-index arrays of the grid lines running along axis k."""
-        groups: dict[tuple, list[int]] = {}
-        other = [j for j in range(self.ndim) if j != k]
-        for i in range(self.npoints):
-            groups.setdefault(tuple(self.grid[i, other]), []).append(i)
-        lines = []
-        for idx in groups.values():
-            idx = np.asarray(idx)
-            lines.append(idx[np.argsort(self.grid[idx, k])])
-        return lines
+        """Sample-index arrays of the grid lines running along axis k.
+
+        Each line is sorted by coordinate k; lines come in the order of
+        their first sample. Computed once per axis.
+        """
+        return self._axis_table(k)[0]
+
+    def line_through(self, i: int, k: int) -> tuple[np.ndarray, int]:
+        """The axis-k line holding sample i, and i's position on it."""
+        return self._axis_table(k)[1][i]
 
     def index_of(self, point) -> int | None:
         """Index of the sample matching ``point``, or None."""
         point = np.atleast_1d(np.asarray(point, dtype=float))
         if point.shape != (self.ndim,):
             raise UsageError(f"point has {point.size} coordinates, grid has {self.ndim}")
-        span = max(float(np.ptp(self.grid)), 1.0)
-        dist = np.abs(self.grid - point[None, :]).max(axis=1)
+        # max over coordinates of |grid - point|, one column at a time
+        dist = np.abs(self.grid[:, 0] - point[0])
+        for k in range(1, self.ndim):
+            np.maximum(dist, np.abs(self.grid[:, k] - point[k]), out=dist)
         i = int(np.argmin(dist))
-        if dist[i] <= 1e-9 * span:
+        if dist[i] <= 1e-9 * self.span:
             return i
         return None
 
@@ -331,24 +351,22 @@ def support_defect(f: CurveSamples, q, theta) -> float:
 def _one_sided_slope(coords, vals):
     """Slope estimate at the last abscissa of a one-sided stencil.
 
-    ``coords`` holds 2 or 3 monotone abscissae ending at the evaluation
-    point; the 3-point stencil gives a second-order estimate, the 2-point
-    stencil the plain difference quotient. Returns None when the abscissae
-    are too close to resolve a slope.
+    ``coords`` holds 2 or 3 monotone abscissae (Python floats) ending at the
+    evaluation point; the 3-point stencil gives a second-order estimate, the
+    2-point stencil the plain difference quotient. Returns None when the
+    abscissae are too close to resolve a slope.
     """
-    coords = np.asarray(coords, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    scale = max(float(np.max(np.abs(coords))), 1.0)
+    scale = max(max(abs(c) for c in coords), 1.0)
     if len(coords) == 3:
         d01 = coords[1] - coords[0]
         d12 = coords[2] - coords[1]
         d02 = coords[2] - coords[0]
         if (
             min(abs(d01), abs(d12), abs(d02)) > _ABSCISSA_FLOOR * scale
-            and np.sign(d01) == np.sign(d12)
+            and (d01 > 0) == (d12 > 0)
         ):
             v0, v1, v2 = vals
-            return float(
+            return (
                 v0 * d12 / (d01 * d02)
                 - v1 * d02 / (d01 * d12)
                 + v2 * (d02 + d12) / (d02 * d12)
@@ -356,14 +374,15 @@ def _one_sided_slope(coords, vals):
         coords, vals = coords[1:], vals[1:]
     if abs(coords[1] - coords[0]) <= _ABSCISSA_FLOOR * scale:
         return None
-    return float((vals[1] - vals[0]) / (coords[1] - coords[0]))
+    return (vals[1] - vals[0]) / (coords[1] - coords[0])
 
 
 def _chain_one_sided(coords, vals, i):
     """(left, right) slope estimates at position i of an ordered chain.
 
-    Each side uses up to its two adjacent grid intervals; missing or
-    degenerate sides come back as None.
+    ``coords`` and ``vals`` are lists of Python floats. Each side uses up to
+    its two adjacent grid intervals; missing or degenerate sides come back
+    as None.
     """
     n = len(coords)
     left = right = None
@@ -372,8 +391,8 @@ def _chain_one_sided(coords, vals, i):
         left = _one_sided_slope(coords[lo : i + 1], vals[lo : i + 1])
     if i <= n - 2:
         hi = min(n - 1, i + 2)
-        idx = np.arange(hi, i - 1, -1)  # stencil ends at i
-        right = _one_sided_slope(coords[idx], vals[idx])
+        # stencil ends at i
+        right = _one_sided_slope(coords[i : hi + 1][::-1], vals[i : hi + 1][::-1])
     return left, right
 
 
@@ -382,20 +401,21 @@ def _local_curvature(coords, vals, i) -> float:
 
     Straddling triples would read a genuine kink at i as curvature, so only
     the purely one-sided triples (i-2, i-1, i) and (i, i+1, i+2) contribute.
+    ``coords`` and ``vals`` are lists of Python floats.
     """
     best = 0.0
     n = len(coords)
     for lo in (i - 2, i):
         if lo < 0 or lo + 2 >= n:
             continue
-        a = coords[lo : lo + 3]
-        d01, d12 = a[1] - a[0], a[2] - a[1]
-        scale = max(float(np.max(np.abs(a))), 1.0)
-        if min(abs(d01), abs(d12)) <= _ABSCISSA_FLOOR * scale or np.sign(d01) != np.sign(d12):
+        a0, a1, a2 = coords[lo : lo + 3]
+        d01, d12 = a1 - a0, a2 - a1
+        scale = max(abs(a0), abs(a1), abs(a2), 1.0)
+        if min(abs(d01), abs(d12)) <= _ABSCISSA_FLOOR * scale or (d01 > 0) != (d12 > 0):
             continue
-        v = vals[lo : lo + 3]
+        v0, v1, v2 = vals[lo : lo + 3]
         second = 2.0 * (
-            v[0] / (d01 * (d01 + d12)) - v[1] / (d01 * d12) + v[2] / (d12 * (d01 + d12))
+            v0 / (d01 * (d01 + d12)) - v1 / (d01 * d12) + v2 / (d12 * (d01 + d12))
         )
         best = max(best, abs(second))
     return best
@@ -449,15 +469,13 @@ def tangent_set(f: CurveSamples, q, tol: float | None = None) -> TangentSet:
     axes = f.axes() if f.ndim > 1 else None
     lowers, uppers, tols = [], [], []
     for k in range(f.ndim):
-        if axes is not None:
-            line = _line_through(f, i, k)
-            coords = f.grid[line, k]
-            vals = f.values[line]
-            pos = int(np.nonzero(line == i)[0][0])
-        else:
-            coords = f.grid[:, k]
-            vals = f.values
-            pos = i
+        line, pos = f.line_through(i, k) if axes is not None else (None, i)
+        # the stencils reach two samples either side of pos
+        lo = max(0, pos - 2)
+        window = slice(lo, pos + 3) if line is None else line[lo : pos + 3]
+        coords = f.grid[window, k].tolist()
+        vals = f.values[window].tolist()
+        pos -= lo
         left, right = _chain_one_sided(coords, vals, pos)
         if left is None and right is None:
             raise DomainError(f"cannot resolve slopes along coordinate {k} at {q}")
@@ -471,14 +489,6 @@ def tangent_set(f: CurveSamples, q, tol: float | None = None) -> TangentSet:
         uppers.append(hi)
         tols.append(_default_tol(coords, vals, pos) if tol is None else float(tol))
     return TangentSet(q, np.array(lowers), np.array(uppers), np.array(tols))
-
-
-def _line_through(f: CurveSamples, i: int, k: int) -> np.ndarray:
-    """Indices of the product-grid line along axis k passing through sample i."""
-    other = [j for j in range(f.ndim) if j != k]
-    mask = np.all(f.grid[:, other] == f.grid[i, other][None, :], axis=1)
-    idx = np.nonzero(mask)[0]
-    return idx[np.argsort(f.grid[idx, k])]
 
 
 def concavity_violations(f: CurveSamples, tol: float) -> list[ConcavityViolation]:
@@ -502,7 +512,7 @@ def concavity_violations(f: CurveSamples, tol: float) -> list[ConcavityViolation
 
 def _chain_violations(f: CurveSamples, idx: np.ndarray, tol: float) -> list[ConcavityViolation]:
     out = []
-    span = max(float(np.ptp(f.grid)), 1.0)
+    span = f.span
     for p in range(1, len(idx) - 1):
         ia, ib, ic = idx[p - 1], idx[p], idx[p + 1]
         ca = f.grid[ia] - f.grid[ic]

@@ -237,14 +237,17 @@ def _aitken_tail(narr: np.ndarray, phis: np.ndarray, step: float) -> tuple[float
     return value, err
 
 
-def _two_mode_value(narr: np.ndarray, phis: np.ndarray, step: float) -> float | None:
-    """Top log-eigenvalue of a two-mode power sum fitted to N*phi_N.
+def _two_mode_value(narr: np.ndarray, phis: np.ndarray,
+                    step: float) -> tuple[float, float] | None:
+    """Top log-eigenvalue of a two-mode power sum fitted to N*phi_N, and
+    the fitted mode ratio l2/l1.
 
     A periodic chain with a 2x2 transfer structure has
     Tr exp(-theta.Q) = l1^N + l2^N exactly, so the scaled sums satisfy a
     two-term linear recurrence whose dominant root recovers l1 even when
-    l2/l1 is close to 1 (long correlation lengths). Returns None when the
-    fitted recurrence has no positive dominant root.
+    l2/l1 is close to 1 (long correlation lengths). The ratio is the
+    recurrence's root product over the squared dominant root. Returns None
+    when the fitted recurrence has no positive dominant root.
     """
     ref = float(phis[-1])
     w = np.exp(narr * (phis - ref))  # scaled partition sums, O(1) entries
@@ -258,16 +261,23 @@ def _two_mode_value(narr: np.ndarray, phis: np.ndarray, step: float) -> float | 
     dominant = (s + math.sqrt(max(disc, 0.0))) / 2.0
     if dominant <= 0.0 or not math.isfinite(dominant):
         return None
-    return ref + math.log(dominant) / step
+    return ref + math.log(dominant) / step, p / (dominant * dominant)
 
 
-def _roundoff_floor(narr: np.ndarray, value: float) -> float:
+def _roundoff_floor(narr: np.ndarray, value: float, ratio: float = 0.0) -> float:
     """Least error a geometric fit may report: the roundoff it inherits.
 
     ln Z_N = N phi_N carries an absolute roundoff of about eps N |phi_N|,
-    and the fitted per-site value inherits it from the largest size.
+    and the fitted per-site value inherits it from the largest size. The
+    two-mode fit amplifies it by 1/(1 - r)^2, r = l2/l1 its mode ratio:
+    modes of nearly equal size are hard to tell apart. A negative ratio
+    counts as 0, and a ratio of 1 or more (modes the fit cannot separate)
+    gives an infinite floor.
     """
-    return float(np.finfo(float).eps * narr[-1] * (1.0 + abs(value)))
+    r = max(ratio, 0.0)
+    if r >= 1.0:
+        return math.inf
+    return float(np.finfo(float).eps * narr[-1] * (1.0 + abs(value)) / (1.0 - r) ** 2)
 
 
 @functools.lru_cache(maxsize=FAMILY_MEMO_SIZE)
@@ -307,7 +317,8 @@ def pressure_limit(spec: ModelSpec, theta, sizes, fit: str = "affine",
     dominant root, falling back to Aitken acceleration of the increments of
     N*phi_N when the recurrence has no positive dominant root; needs
     uniformly spaced sizes; its error is never less than the roundoff of
-    N*phi_N at the largest size. Sizes must be strictly increasing with at least
+    N*phi_N at the largest size, amplified by the two-mode fit's
+    conditioning 1/(1 - l2/l1)^2. Sizes must be strictly increasing with at least
     3 entries. Each size's family is built once and kept for later calls
     (see ``FAMILY_MEMO_SIZE`` and ``release_families``).
     """
@@ -333,15 +344,16 @@ def pressure_limit(spec: ModelSpec, theta, sizes, fit: str = "affine",
     if not np.allclose(steps, steps[0]):
         raise UsageError("geometric fit needs uniformly spaced sizes")
     step = float(steps[0])
-    value = _two_mode_value(narr, phis, step)
-    if value is None:
+    fitted = _two_mode_value(narr, phis, step)
+    ratio = 0.0
+    if fitted is None:
         value, err = _aitken_tail(narr, phis, step)
-    elif len(narr) >= 6:
-        tail = _two_mode_value(narr[-4:], phis[-4:], step)
-        err = abs(value - tail) if tail is not None else abs(value - float(phis[-1]))
     else:
-        err = abs(value - float(phis[-1]))
-    return PressureEstimate(value, per_size, max(err, _roundoff_floor(narr, value)), fit)
+        value, ratio = fitted
+        tail = _two_mode_value(narr[-4:], phis[-4:], step) if len(narr) >= 6 else None
+        err = abs(value - (tail[0] if tail is not None else float(phis[-1])))
+    floor = _roundoff_floor(narr, value, ratio)
+    return PressureEstimate(value, per_size, max(err, floor), fit)
 
 
 def random_density_state(dim: int, rng: np.random.Generator) -> DensityState:

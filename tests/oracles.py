@@ -167,3 +167,82 @@ def two_level_gibbs(theta0):
     """Weights (p0, p1) of exp(-theta0 * diag(0, 1)) normalized."""
     z = 1.0 + np.exp(-theta0)
     return np.array([1.0, np.exp(-theta0)]) / z
+
+
+def looped_monotone_segments(column):
+    """Index ranges [i0, i1] on which a sampled column is monotone.
+
+    A segment ends wherever the step direction flips between two nonzero
+    steps; zero steps never break a segment. Plain Python loop.
+    """
+    values = [float(v) for v in column]
+    direction = [(b > a) - (b < a) for a, b in zip(values, values[1:])]
+    breaks = [0]
+    for i in range(1, len(direction)):
+        if direction[i] != 0 and direction[i - 1] != 0 and direction[i] != direction[i - 1]:
+            breaks.append(i)
+    breaks.append(len(direction))
+    return [(breaks[j], breaks[j + 1]) for j in range(len(breaks) - 1)]
+
+
+_FLOOR = 1e-13  # abscissae closer than this, relative to their scale, coincide
+
+
+def _stencil_slope(xs, ys):
+    """Slope at xs[-1] from a 3-point (or 2-point) one-sided stencil."""
+    scale = max(1.0, *(abs(x) for x in xs))
+    if len(xs) == 3:
+        (x0, x1, x2), (y0, y1, y2) = xs, ys
+        d01, d12, d02 = x1 - x0, x2 - x1, x2 - x0
+        if min(abs(d01), abs(d12), abs(d02)) > _FLOOR * scale and (d01 < 0) == (d12 < 0):
+            # derivative at x2 of the parabola through the three points
+            return y0 * d12 / (d01 * d02) - y1 * d02 / (d01 * d12) + y2 * (d02 + d12) / (d02 * d12)
+        xs, ys = xs[1:], ys[1:]
+    if abs(xs[1] - xs[0]) <= _FLOOR * scale:
+        return None
+    return (ys[1] - ys[0]) / (xs[1] - xs[0])
+
+
+def stencil_tangent_interval(xs, ys, i):
+    """(lower, upper, tol) of the supporting slopes at position i of a chain.
+
+    xs, ys are sequences of floats along one coordinate of an ordered chain.
+    Each side's slope uses the (up to) two grid intervals on that side; a
+    missing side is unbounded. tol = 10 x (larger adjacent spacing) x (the
+    largest |second difference| of the one-sided triples ending or starting
+    at i).
+    """
+    xs = [float(x) for x in xs]
+    ys = [float(y) for y in ys]
+    n = len(xs)
+    left = _stencil_slope(xs[max(0, i - 2): i + 1], ys[max(0, i - 2): i + 1]) if i >= 1 else None
+    right = None
+    if i <= n - 2:
+        stop = min(n - 1, i + 2) + 1
+        right = _stencil_slope(xs[i:stop][::-1], ys[i:stop][::-1])
+    if left is None and right is None:
+        raise ValueError("no resolvable side")
+    if left is None:
+        lower, upper = right, float("inf")
+    elif right is None:
+        lower, upper = float("-inf"), left
+    else:
+        lower, upper = min(left, right), max(left, right)
+
+    curvature = 0.0
+    for lo in (i - 2, i):
+        if lo < 0 or lo + 2 >= n:
+            continue
+        (x0, x1, x2), (y0, y1, y2) = xs[lo: lo + 3], ys[lo: lo + 3]
+        d01, d12 = x1 - x0, x2 - x1
+        if min(abs(d01), abs(d12)) <= _FLOOR * max(1.0, abs(x0), abs(x1), abs(x2)):
+            continue
+        if (d01 < 0) != (d12 < 0):
+            continue
+        second = 2.0 * (y0 / (d01 * (d01 + d12)) - y1 / (d01 * d12) + y2 / (d12 * (d01 + d12)))
+        curvature = max(curvature, abs(second))
+    gaps = [abs(xs[i] - xs[i - 1])] if i >= 1 else []
+    if i <= n - 2:
+        gaps.append(abs(xs[i + 1] - xs[i]))
+    spacing = max(gaps) if gaps else 0.0
+    return lower, upper, 10.0 * spacing * curvature

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import binary_entropy, free_spin_pressure, mean_field_fixed_point
+from oracles import (
+    binary_entropy,
+    free_spin_pressure,
+    looped_monotone_segments,
+    mean_field_fixed_point,
+)
 from thermolab import (
     ErgodicFamily,
     InfeasibleConstraintError,
@@ -256,3 +261,54 @@ class TestJointCurveSmoothness:
         ]
         assert len(widths) > 1900
         assert max(widths) <= 1e-3
+
+
+SEGMENT_SPECS = [
+    ModelSpec("free_spins"),
+    ModelSpec("ising_chain", J=1.0, h=0.3),
+    ModelSpec("ising_chain", J=-0.7, h=-1.1),
+    ModelSpec("curie_weiss", J=1.0, h=0.25),
+    ModelSpec("curie_weiss", J=2.0, h=-0.05),
+    ModelSpec("curie_weiss", J=1.0, h=0.0),
+]
+
+
+class TestMonotoneSegmentsReference:
+    """The vectorized segment split equals a looped scan of the same column."""
+
+    @pytest.mark.parametrize("spec", SEGMENT_SPECS, ids=lambda s: f"{s.kind}-J{s.J}-h{s.h}")
+    def test_segments_equal_looped_scan(self, spec):
+        family = ErgodicFamily(spec)
+        _, q, _ = family._scan_arrays()
+        for k in range(family.n_components):
+            assert family._monotone_segments(k) == looped_monotone_segments(q[:, k])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_columns_with_flat_steps(self, seed):
+        # model columns almost never repeat a value; a synthetic scan with
+        # runs of equal values checks that zero steps never break a segment
+        rng = np.random.default_rng(seed)
+        column = np.cumsum(rng.choice([-1.0, 0.0, 0.0, 1.0], size=2001))
+        family = cw(h=0.1)
+        m, _, eta = family._scan_arrays()
+        family._scan = (m[:2001], np.stack([column, column], -1), eta[:2001])
+        assert family._monotone_segments(0) == looped_monotone_segments(column)
+
+    def test_looped_scan_splits_at_flips_only(self):
+        # zero steps neither break a segment nor hide a later flip
+        column = [0.0, 1.0, 1.0, 2.0, 1.0, 1.0, 0.0, 3.0]
+        assert looped_monotone_segments(column) == [(0, 3), (3, 6), (6, 7)]
+
+
+class TestComponentOffset:
+    """The refinement closures evaluate the family's densities."""
+
+    @pytest.mark.parametrize("spec", SEGMENT_SPECS, ids=lambda s: f"{s.kind}-J{s.J}-h{s.h}")
+    def test_matches_densities(self, spec):
+        family = ErgodicFamily(spec)
+        xs = np.random.default_rng(3).uniform(-1.0, 1.0, 50).tolist() + [-1.0, 0.0, 1.0]
+        q = family.densities(np.array(xs))
+        for k in range(family.n_components):
+            fn = family.component_offset(k, 0.25)
+            got = np.array([fn(x) for x in xs])
+            assert_allclose(got, q[:, k] - 0.25, rtol=1e-15, atol=1e-15)

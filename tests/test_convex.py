@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import binary_entropy, free_spin_pressure, upper_concave_envelope
+from oracles import (
+    binary_entropy,
+    free_spin_pressure,
+    stencil_tangent_interval,
+    upper_concave_envelope,
+)
 from thermolab import (
     CONCAVE,
     CONVEX,
@@ -302,3 +307,91 @@ class TestControlVector:
     def test_thermal_check(self):
         with pytest.raises(UsageError):
             ControlVector((-1.0,)).couplings
+
+
+def random_concave_1d(rng, npoints):
+    """Strictly increasing abscissae with decreasing chord slopes."""
+    q = np.cumsum(rng.uniform(0.01, 1.0, npoints)) - rng.uniform(0.0, 5.0)
+    slopes = np.sort(rng.normal(0.0, 3.0, npoints - 1))[::-1]
+    values = np.concatenate([[rng.normal()], rng.normal() + np.cumsum(slopes * np.diff(q))])
+    return CurveSamples(q, values, CONCAVE)
+
+
+def assert_matches_stencil_reference(f, i, lines):
+    """tangent_set at sample i equals the pure-Python stencils, bit for bit.
+
+    ``lines[k]`` is the sample-index chain through i along coordinate k.
+    """
+    ts = tangent_set(f, f.grid[i])
+    for k, line in enumerate(lines):
+        line = list(line)
+        pos = line.index(i)
+        lower, upper, tol = stencil_tangent_interval(
+            f.grid[line, k].tolist(), f.values[line].tolist(), pos
+        )
+        assert ts.lower[k] == lower
+        assert ts.upper[k] == upper
+        assert ts.tol[k] == tol
+
+
+class TestTangentStencilReference:
+    """Slopes and kink tolerances equal an independent float stencil exactly."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_concave_1d(self, seed):
+        rng = np.random.default_rng(seed)
+        f = random_concave_1d(rng, int(rng.integers(2, 40)))
+        for i in range(f.npoints):
+            assert_matches_stencil_reference(f, i, [range(f.npoints)])
+
+    def test_binary_entropy_grid(self):
+        f = entropy_curve_1d(101)
+        for i in range(f.npoints):
+            assert_matches_stencil_reference(f, i, [range(f.npoints)])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_chain(self, seed):
+        # a chain that turns back in its second coordinate, so stencils meet
+        # non-monotone triples as well as monotone ones
+        rng = np.random.default_rng(100 + seed)
+        t = np.sort(rng.uniform(-1.0, 1.0, 30))
+        grid = np.stack([t, t**2 + 0.01 * rng.normal(size=t.size)], axis=-1)
+        f = CurveSamples(grid, -(t**2) + 0.1 * t, CONCAVE)
+        for i in range(f.npoints):
+            assert_matches_stencil_reference(f, i, [range(f.npoints)] * 2)
+
+    def test_mean_field_chain(self):
+        from thermolab import ErgodicFamily, ModelSpec, entropy_curve, family_curve_constraints
+
+        family = ErgodicFamily(ModelSpec("curie_weiss", J=1.0, h=0.0))
+        m = np.arange(-0.9, 0.9 + 0.05, 0.1)
+        f = entropy_curve(family, family_curve_constraints(family, m))
+        for i in range(1, f.npoints - 1):
+            assert_matches_stencil_reference(f, i, [range(f.npoints)] * 2)
+
+    def test_product_grid_uses_axis_lines(self):
+        rng = np.random.default_rng(7)
+        xs = np.sort(rng.uniform(-2.0, 2.0, 5))
+        ys = np.sort(rng.uniform(-1.0, 3.0, 4))
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        grid = np.stack([gx.ravel(), gy.ravel()], axis=-1)
+        perm = rng.permutation(len(grid))  # sample order must not matter
+        grid = grid[perm]
+        f = CurveSamples(grid, -(grid[:, 0] ** 2) - 0.5 * grid[:, 1] ** 2, CONCAVE)
+        for i in range(f.npoints):
+            lines = []
+            for k in range(2):
+                line, pos = f.line_through(i, k)
+                assert line[pos] == i
+                assert any(np.array_equal(line, other) for other in f.axis_lines(k))
+                assert np.all(np.diff(f.grid[line, k]) > 0)
+                lines.append(line)
+            assert_matches_stencil_reference(f, i, lines)
+
+    def test_axis_lines_cover_every_sample_once(self):
+        xs, ys = np.meshgrid([0.0, 1.0, 2.0], [5.0, 6.0], indexing="ij")
+        f = CurveSamples(np.stack([xs.ravel(), ys.ravel()], -1), np.zeros(6), CONCAVE)
+        for k, (count, length) in enumerate([(2, 3), (3, 2)]):
+            lines = f.axis_lines(k)
+            assert [len(line) for line in lines] == [length] * count
+            assert sorted(np.concatenate(lines).tolist()) == list(range(6))

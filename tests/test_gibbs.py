@@ -419,6 +419,23 @@ class TestGeometricErrorBar:
         assert est.extrapolation_error >= actual
         assert est.extrapolation_error <= 1e-12
 
+    @pytest.mark.parametrize("theta0", [0.5, 1.0, 2.0])
+    def test_error_covers_oracle_distance_at_zero_field(self, theta0):
+        # at theta0 = 2 the modes' ratio is tanh 2 ~ 0.96 and the two-mode
+        # fit amplifies roundoff by 1/(1 - tanh 2)^2 ~ 770
+        spec = ModelSpec("ising_chain", J=1.0, h=0.0)
+        est = pressure_limit(spec, [theta0, 0.0], list(range(4, 15)), fit="geometric")
+        actual = abs(est.value - ising_log_lambda_plus(theta0, 1.0, 0.0))
+        assert est.extrapolation_error >= actual
+        assert est.extrapolation_error <= 1e-10
+
+    def test_roundoff_floor_grows_with_mode_ratio(self):
+        narr = np.arange(4.0, 15.0)
+        plain = gibbs._roundoff_floor(narr, 0.7)
+        assert gibbs._roundoff_floor(narr, 0.7, -0.5) == plain
+        assert gibbs._roundoff_floor(narr, 0.7, 0.9) == pytest.approx(100.0 * plain)
+        assert gibbs._roundoff_floor(narr, 0.7, 1.0) == math.inf
+
 
 class TestPressureLeavesLevelViewUnbuilt:
     """Pressure sweeps read levels() only: no level index, no eigenvectors."""
