@@ -152,7 +152,7 @@ def _parse_number_list(text: str) -> list[float]:
 
     Range points are lo + k*step rounded to the most decimals among lo, hi
     and step, so ``-0.1:0.1:0.01`` passes through 0 exactly and
-    ``0:0.3:0.1`` ends at 0.3.
+    ``0:0.3:0.1`` ends at 0.3; no point lies past hi.
     """
     text = text.strip()
     if "," in text:
@@ -168,10 +168,12 @@ def _parse_number_list(text: str) -> list[float]:
             raise ValueError(f"range bounds must be finite in {text!r}")
         if step <= 0 or hi < lo:
             raise ValueError(f"bad range bounds {text!r}")
+        if (hi - lo) / step >= MAX_RANGE_POINTS:
+            raise ValueError(f"range {text!r} has over {MAX_RANGE_POINTS} points")
         decimals = max(_decimals(p) for p in parts)
         count = math.floor((hi - lo) / step + 0.5) + 1
-        if count > MAX_RANGE_POINTS:
-            raise ValueError(f"range {text!r} has {count} points, over {MAX_RANGE_POINTS}")
+        if round(lo + (count - 1) * step, decimals) > hi:
+            count -= 1  # the span was rounded up to a whole step past hi
         # "+ 0.0" turns a rounded -0.0 into 0.0
         return [round(lo + k * step, decimals) + 0.0 for k in range(count)]
     return [float(text)]

@@ -1,9 +1,10 @@
 """Generalized canonical states, entropies and the finite-volume pressure.
 
-All matrix exponentials and logarithms go through hermitian spectral
-decompositions; for the diagonal built-in families the spectral data is the
-stored diagonal itself and no dense algebra is performed, which keeps sizes
-up to the dimension cap (2^14) cheap.
+States and pressures are read off a family's cached spectral form and
+never off its storage: canonical states come from the level view (the
+product basis for the diagonal built-in families, which keeps sizes up to
+the dimension cap (2^14) cheap, or the dense family's eigenbasis, computed
+once per family), and expectations are read in that basis too.
 
 Pressures are sums over levels, not states: ``finite_pressure`` reads the
 family's joint level table (distinct eigenvalue rows with multiplicities,
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import as_components
-from .errors import UsageError
+from .errors import NumericRangeError, UsageError
 from .lattice import DIMENSION_CAP, ModelSpec, ObservableFamily, build_model
 
 # Eigenvalues below this contribute zero to x ln x sums (continuity at 0).
@@ -79,20 +80,20 @@ class DensityState:
         return self.probabilities.size
 
     @property
-    def is_diagonal(self) -> bool:
-        return self.basis is None
-
-    @property
     def matrix(self) -> np.ndarray:
         if self.basis is None:
             return np.diag(self.probabilities)
         return (self.basis * self.probabilities[None, :]) @ self.basis.conj().T
 
-    def occupations(self) -> np.ndarray:
-        """Diagonal of the state in the computational basis."""
-        if self.basis is None:
+    def occupations(self, basis: np.ndarray | None = None) -> np.ndarray:
+        """Diagonal of the state in an orthonormal basis (columns), the
+        computational basis when None."""
+        overlap = self.basis
+        if basis is not None:
+            overlap = basis.conj().T if overlap is None else basis.conj().T @ overlap
+        if overlap is None:
             return self.probabilities
-        return np.abs(self.basis) ** 2 @ self.probabilities
+        return np.abs(overlap) ** 2 @ self.probabilities
 
     def expectation(self, op) -> float:
         """Tr(rho A) for A given as a diagonal vector or dense matrix."""
@@ -125,17 +126,14 @@ class PressureEstimate:
 def canonical_state(family: ObservableFamily, theta) -> DensityState:
     """Generalized canonical state exp(-theta.Q) / Tr exp(-theta.Q).
 
-    The exponent is shifted by its smallest eigenvalue before exponentiation,
-    so any finite theta is safe. The state commutes with every observable of
-    the family and its eigenvalues are the softmax of -(theta.Q) eigenvalues.
+    A softmax of -(theta.Q) over the basis of the family's level view, in
+    which the generator is diagonal; the exponent is shifted by its smallest
+    value before exponentiation, so any finite theta is safe. The state
+    commutes with every observable of the family.
     """
-    gen = family.control_generator(theta)
-    if gen.ndim == 1:
-        lam, basis = gen, None
-    else:
-        lam, basis = np.linalg.eigh(gen)
+    lam = family.control_generator(theta)
     w = np.exp(-(lam - lam.min()))
-    return DensityState(w / w.sum(), basis, validate=False)
+    return DensityState(w / w.sum(), family.level_view().basis, validate=False)
 
 
 def von_neumann_entropy(rho: DensityState) -> float:
@@ -192,9 +190,15 @@ def finite_pressure(family: ObservableFamily, theta) -> float:
 
 
 def expectation_vector(rho: DensityState, family: ObservableFamily) -> np.ndarray:
-    """Per-observable expectations <Q_k> in the given state."""
-    ops = family.diagonals if family.is_diagonal else family.dense
-    return np.array([rho.expectation(op) for op in ops])
+    """Per-observable expectations <Q_k> in the given state.
+
+    Every Q_k is diagonal in the basis of the family's level view, so <Q_k>
+    is the state's occupations in that basis weighted by the level values.
+    """
+    if rho.dim != family.dim:
+        raise UsageError("observable dimension mismatch")
+    view = family.level_view()
+    return rho.occupations(view.basis) @ view.rows[view.index]
 
 
 def variational_gap(rho: DensityState, family: ObservableFamily, theta) -> float:
@@ -210,33 +214,6 @@ def variational_gap(rho: DensityState, family: ObservableFamily, theta) -> float
     return n_phi - von_neumann_entropy(rho) + float(th @ expectation_vector(rho, family))
 
 
-def _aitken(x0: float, x1: float, x2: float) -> float | None:
-    d2 = x2 - 2.0 * x1 + x0
-    if abs(d2) <= 1e3 * np.finfo(float).eps * max(1.0, abs(x2)):
-        return None
-    return x2 - (x2 - x1) ** 2 / d2
-
-
-def _aitken_tail(narr: np.ndarray, phis: np.ndarray, step: float) -> tuple[float, float]:
-    """Aitken acceleration of the increments of N*phi_N (generic fallback)."""
-    increments = np.diff(narr * phis) / step
-    accelerated = []
-    for k in range(len(increments) - 2):
-        a = _aitken(increments[k], increments[k + 1], increments[k + 2])
-        if a is not None:
-            accelerated.append(a)
-    if accelerated:
-        value = float(accelerated[-1])
-        if len(accelerated) >= 2:
-            err = abs(value - float(accelerated[-2]))
-        else:
-            err = abs(value - float(increments[-1]))
-    else:
-        value = float(increments[-1])
-        err = float(np.max(np.abs(np.diff(increments)))) if len(increments) > 1 else 0.0
-    return value, err
-
-
 def _two_mode_value(narr: np.ndarray, phis: np.ndarray,
                     step: float) -> tuple[float, float] | None:
     """Top log-eigenvalue of a two-mode power sum fitted to N*phi_N, and
@@ -245,9 +222,10 @@ def _two_mode_value(narr: np.ndarray, phis: np.ndarray,
     A periodic chain with a 2x2 transfer structure has
     Tr exp(-theta.Q) = l1^N + l2^N exactly, so the scaled sums satisfy a
     two-term linear recurrence whose dominant root recovers l1 even when
-    l2/l1 is close to 1 (long correlation lengths). The ratio is the
-    recurrence's root product over the squared dominant root. Returns None
-    when the fitted recurrence has no positive dominant root.
+    l2/l1 is close to 1 (long correlation lengths); a pure power l1^N is
+    the case l2 = 0. The ratio is the recurrence's root product over the
+    squared dominant root. Returns None when the fitted recurrence has no
+    positive dominant root.
     """
     ref = float(phis[-1])
     w = np.exp(narr * (phis - ref))  # scaled partition sums, O(1) entries
@@ -311,24 +289,41 @@ def pressure_limit(spec: ModelSpec, theta, sizes, fit: str = "affine",
 
     fit="affine": least-squares affine fit in 1/N (surface-over-volume
     corrections); value is the intercept, error the larger of the worst fit
-    residual and the last-size deviation. fit="geometric": for periodic
-    chains whose finite-size corrections decay exponentially; fits the
-    scaled partition sums to a two-mode linear recurrence and takes its
-    dominant root, falling back to Aitken acceleration of the increments of
-    N*phi_N when the recurrence has no positive dominant root; needs
-    uniformly spaced sizes; its error is never less than the roundoff of
-    N*phi_N at the largest size, amplified by the two-mode fit's
-    conditioning 1/(1 - l2/l1)^2. Sizes must be strictly increasing with at least
-    3 entries. Each size's family is built once and kept for later calls
-    (see ``FAMILY_MEMO_SIZE`` and ``release_families``).
+    residual and the last-size deviation.
+
+    fit="geometric": fits the scaled partition sums to a two-mode linear
+    recurrence and takes its dominant root. It is accepted only where that
+    model is exact, Z_N = l1^N + l2^N: the periodic ising_chain (a 2x2
+    transfer matrix) and free_spins (a pure power); any other model raises
+    UsageError. Needs uniformly spaced sizes, and raises NumericRangeError
+    when the fitted recurrence has no positive dominant root. Its error is
+    the smaller of the distances from the value to the same fit on the last
+    four sizes (six sizes or more) and to the last increment of N*phi_N per
+    unit size, and never less than the roundoff of N*phi_N at the largest
+    size, amplified by the two-mode fit's conditioning 1/(1 - l2/l1)^2.
+
+    Sizes must be strictly increasing with at least 3 entries. Each size's
+    family is built once and kept for later calls (see ``FAMILY_MEMO_SIZE``
+    and ``release_families``).
     """
     sizes = [int(n) for n in sizes]
     if len(sizes) < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise UsageError("sizes must be strictly increasing with at least 3 entries")
+    if fit not in ("affine", "geometric"):
+        raise UsageError(f"unknown fit mode {fit!r}")
+    narr = np.array(sizes, dtype=float)
+    steps = np.diff(narr)
+    if fit == "geometric":
+        if not (spec.kind == "free_spins"
+                or (spec.kind, spec.boundary) == ("ising_chain", "periodic")):
+            chain = f" with {spec.boundary} boundary" if spec.kind.endswith("chain") else ""
+            raise UsageError("the geometric fit is exact only for the periodic ising_chain "
+                             f"and free_spins, not {spec.kind}{chain}")
+        if not np.allclose(steps, steps[0]):
+            raise UsageError("geometric fit needs uniformly spaced sizes")
     th = as_components(theta)
     phis = np.array([finite_pressure(_family(spec, n, cap), th) for n in sizes])
     per_size = tuple((n, float(p)) for n, p in zip(sizes, phis))
-    narr = np.array(sizes, dtype=float)
 
     if fit == "affine":
         design = np.stack([np.ones_like(narr), 1.0 / narr], axis=1)
@@ -338,20 +333,16 @@ def pressure_limit(spec: ModelSpec, theta, sizes, fit: str = "affine",
         err = max(resid, abs(float(phis[-1]) - value))
         return PressureEstimate(value, per_size, err, fit)
 
-    if fit != "geometric":
-        raise UsageError(f"unknown fit mode {fit!r}")
-    steps = np.diff(narr)
-    if not np.allclose(steps, steps[0]):
-        raise UsageError("geometric fit needs uniformly spaced sizes")
     step = float(steps[0])
     fitted = _two_mode_value(narr, phis, step)
-    ratio = 0.0
     if fitted is None:
-        value, err = _aitken_tail(narr, phis, step)
-    else:
-        value, ratio = fitted
-        tail = _two_mode_value(narr[-4:], phis[-4:], step) if len(narr) >= 6 else None
-        err = abs(value - (tail[0] if tail is not None else float(phis[-1])))
+        raise NumericRangeError("the two-mode fit found no positive dominant root")
+    value, ratio = fitted
+    increment = (narr[-1] * phis[-1] - narr[-2] * phis[-2]) / step
+    err = abs(value - float(increment))
+    tail = _two_mode_value(narr[-4:], phis[-4:], step) if len(narr) >= 6 else None
+    if tail is not None:
+        err = min(err, abs(value - tail[0]))
     floor = _roundoff_floor(narr, value, ratio)
     return PressureEstimate(value, per_size, max(err, floor), fit)
 

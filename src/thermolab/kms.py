@@ -33,7 +33,7 @@ import numpy as np
 
 from .convex import as_components
 from .errors import NumericRangeError, QuadratureError, ResourceError, UsageError
-from .lattice import LevelView, ObservableFamily, lift_site_operator
+from .lattice import ObservableFamily, lift_site_operator
 
 # Residual checks still form the dim x dim cross table A~[j,k] B~[k,j] (and,
 # for a dense family, rotate both probes into its eigenbasis) before folding
@@ -112,19 +112,6 @@ class GaussianTestFunction:
         return math.sqrt(1.0 + 2.0 * self.sigma_w**2 * math.log(1.0 / eps))
 
 
-def _spectrum(family: ObservableFamily, theta) -> tuple[LevelView, np.ndarray]:
-    """The family's cached level view and theta.Q on each of its levels.
-
-    The level energies are summed in the order control_generator uses, so a
-    diagonal family's energies equal its generator's entries bit for bit.
-    """
-    view = family.level_view()
-    energy = np.zeros(view.rows.shape[0])
-    for c, column in zip(as_components(theta, family.n_observables), view.rows.T):
-        energy += c * column
-    return view, energy
-
-
 def _rotate(op: np.ndarray, vec: np.ndarray | None) -> np.ndarray:
     return op if vec is None else vec.conj().T @ op @ vec
 
@@ -145,9 +132,9 @@ def evolve(a: TestOperator, family: ObservableFamily, theta, t: float) -> TestOp
     if not math.isfinite(t):
         raise UsageError(f"time {t} is not finite")
     _check_dims(family, a)
-    view, energy = _spectrum(family, theta)
+    view = family.level_view()
     tilde = _rotate(a.matrix, view.basis)
-    phases = np.exp(1j * energy[view.index] * t)
+    phases = np.exp(1j * family.control_generator(theta) * t)
     moved = (phases[:, None] * tilde) * phases.conj()[None, :]
     if view.basis is not None:
         moved = view.basis @ moved @ view.basis.conj().T
@@ -178,19 +165,19 @@ def _residual_tables(family: ObservableFamily, theta, a: TestOperator, b: TestOp
     """Shared level-pair tables: shifted levels, log partition, folded cross weights.
 
     cross[l, m] sums A~[j,k] B~[k,j] over the basis vectors j of level l and
-    k of level m; delta[l, m] = lam_l - lam_m are the Bohr frequencies.
+    k of level m; delta[l, m] = lam_l - lam_m are the Bohr frequencies. A
+    dense family's index is the identity (one level per eigenvector), so its
+    fold is the plain table A~[j,k] B~[k,j].
     """
-    view, lam = _spectrum(family, theta)
+    view = family.level_view()
+    lam = family.level_energies(theta)
     lam = lam - lam.min()  # spectral shift; cancels in conjugations and in omega
     log_z = math.log(float(np.exp(view.log_mult - lam).sum()))
     if not math.isfinite(log_z):
         raise NumericRangeError("partition sum left the representable range")
     atil = _rotate(a.matrix, view.basis)
     btil = _rotate(b.matrix, view.basis)
-    if view.basis is None:
-        cross = _folded_cross(atil, btil, view.index, len(lam))
-    else:  # one level per eigenvector: the unfolded table A~[j,k] B~[k,j]
-        cross = atil * btil.T
+    cross = _folded_cross(atil, btil, view.index, len(lam))
     delta = lam[:, None] - lam[None, :]
     return lam, log_z, cross, delta
 
@@ -223,7 +210,7 @@ def kms_residual(family: ObservableFamily, theta, a: TestOperator, b: TestOperat
 def default_quadrature_step(family: ObservableFamily, theta,
                             f: GaussianTestFunction) -> float:
     """Trapezoid step resolving the fastest Bohr frequency of theta.Q."""
-    _, lam = _spectrum(family, theta)
+    lam = family.level_energies(theta)
     spread = float(lam.max() - lam.min())
     return min(0.1, math.pi / (2.0 * spread + 12.0 / f.sigma_w + 2.0))
 

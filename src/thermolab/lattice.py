@@ -5,6 +5,9 @@ Each family is a finite set of commuting hermitian observables
 The built-in models are all diagonal in the product sigma_z basis, so they
 are stored as diagonal vectors; dense storage is used for the one
 non-commuting extra (transverse-field chain, a single-observable family).
+Only this module reads that storage: other modules see a family through its
+cached spectral form, the joint level table (``levels``) or the levels with
+the basis they live in (``level_view``).
 
 Basis convention: basis index i encodes the spin configuration with site 0
 in the most significant bit; bit 0 means sigma_z = +1, bit 1 means -1.
@@ -150,25 +153,24 @@ class ObservableFamily:
     """Commuting hermitian observables on a region's spin space.
 
     Observables are stored either as diagonal vectors (all built-in models)
-    or as one dense hermitian matrix (the transverse-field chain). The arrays
-    are kept read-only, so a family can be shared between sweeps and threads.
-    ``spec`` records the generating model when the family came out of
-    :func:`build_model`.
+    or as one dense hermitian matrix (the transverse-field chain). This class
+    is the only code that reads the storage: every spectral consumer goes
+    through :meth:`levels`, :meth:`level_view`, :meth:`level_energies` or
+    :meth:`control_generator`. The arrays are kept read-only, so a family can
+    be shared between sweeps and threads. ``spec`` records the generating
+    model when the family came out of :func:`build_model`.
     """
 
     def __init__(self, region: Region, labels, diagonals=None, matrices=None,
-                 local_dimension: int = 2, spec: ModelSpec | None = None):
+                 spec: ModelSpec | None = None):
         if (diagonals is None) == (matrices is None):
             raise UsageError("provide exactly one of diagonals or matrices")
         self.region = region
-        self.local_dimension = int(local_dimension)
-        if self.local_dimension < 2:
-            raise UsageError("local dimension must be at least 2")
         self.labels = tuple(labels)
         self.spec = spec
         self._levels = None
         self._level_view = None
-        dim = self.local_dimension ** region.size
+        dim = self.dim
         if diagonals is not None:
             self.diagonals = _frozen(np.asarray(d, dtype=float) for d in diagonals)
             self.dense = None
@@ -192,51 +194,57 @@ class ObservableFamily:
         if len(self.labels) != n:
             raise UsageError("one label per observable required")
 
+    def _spectrum(self, vectors: bool) -> tuple:
+        """(rows, log_mult, index, basis) of the joint spectrum.
+
+        Diagonal families are grouped exactly: equal quantum numbers give
+        bitwise-equal floats, and the basis is the product basis (None). The
+        dense family has one level per eigenvalue; its eigenvectors are
+        computed only when ``vectors`` is set, the basis is None otherwise.
+        """
+        if self.is_diagonal:
+            rows, index, counts = np.unique(np.stack(self.diagonals, axis=1), axis=0,
+                                            return_inverse=True, return_counts=True)
+            return rows, np.log(counts), index.reshape(-1), None
+        if vectors:
+            lam, vec = np.linalg.eigh(self.dense[0])
+        else:
+            lam, vec = np.linalg.eigvalsh(self.dense[0]), None
+        return lam[:, None], np.zeros(self.dim), np.arange(self.dim), vec
+
     def levels(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct joint eigenvalue rows and the log of their multiplicities.
 
         Row ``k`` of the first array holds the eigenvalues of (Q_0, Q_1, ...)
         on one joint eigenspace, whose dimension is ``exp`` of entry ``k`` of
-        the second. Diagonal families are grouped exactly: equal quantum
-        numbers give bitwise-equal floats. A dense family is diagonalized,
-        each eigenvalue counted once. Computed on first use and kept; two
-        threads asking at once at worst both compute it.
+        the second. Taken from :meth:`level_view` when that is built, and
+        computed without eigenvectors otherwise. Computed on first use and
+        kept; two threads asking at once at worst both compute it.
         """
         if self._levels is None:
-            if self.is_diagonal:
-                rows, counts = np.unique(np.stack(self.diagonals, axis=1), axis=0,
-                                         return_counts=True)
-                log_mult = np.log(counts)
+            view = self._level_view
+            if view is not None:
+                self._levels = (view.rows, view.log_mult)
             else:
-                rows = np.linalg.eigvalsh(self.dense[0])[:, None]
-                log_mult = np.zeros(rows.shape[0])
-            self._levels = _frozen((rows, log_mult))
+                self._levels = _frozen(self._spectrum(vectors=False)[:2])
         return self._levels
 
     def level_view(self) -> "LevelView":
         """The joint levels together with the level of each basis vector.
 
-        Diagonal families keep the product basis and take the exact grouping
-        of :meth:`levels`, with each state's level index. The dense family is
-        diagonalized once; each eigenvector is a level of its own. Computed
-        on first use and kept, apart from :meth:`levels`, so pressure sweeps
-        never pay for the index or the eigenvectors; two threads asking at
-        once at worst both compute it.
+        Diagonal families keep the product basis, with each state's level
+        index. The dense family is diagonalized once; each eigenvector is a
+        level of its own. Computed on first use and kept, apart from
+        :meth:`levels`, so pressure sweeps never pay for the eigenvectors;
+        two threads asking at once at worst both compute it.
         """
         if self._level_view is None:
-            if self.is_diagonal:
-                rows, index, counts = np.unique(np.stack(self.diagonals, axis=1), axis=0,
-                                                return_inverse=True, return_counts=True)
-                view = _frozen((rows, np.log(counts), index.reshape(-1))) + (None,)
-            else:
-                lam, vec = np.linalg.eigh(self.dense[0])
-                view = _frozen((lam[:, None], np.zeros(self.dim), np.arange(self.dim), vec))
-            self._level_view = LevelView(*view)
+            self._level_view = LevelView(*_frozen(self._spectrum(vectors=True)))
         return self._level_view
 
     @property
     def dim(self) -> int:
-        return self.local_dimension ** self.region.size
+        return 2**self.region.size
 
     @property
     def n_observables(self) -> int:
@@ -246,39 +254,27 @@ class ObservableFamily:
     def is_diagonal(self) -> bool:
         return self.diagonals is not None
 
-    def matrix(self, j: int, max_dim: int = 2**10) -> np.ndarray:
-        """Dense matrix of observable j (guarded against huge dimensions)."""
-        if self.dim > max_dim:
-            raise ResourceError(f"refusing to densify dimension {self.dim} > {max_dim}")
-        if self.is_diagonal:
-            return np.diag(self.diagonals[j])
-        return self.dense[j]
+    def level_energies(self, theta) -> np.ndarray:
+        """theta . Q on each level of :meth:`level_view`, summed in column order."""
+        th = as_components(theta, self.n_observables)
+        rows = self.level_view().rows
+        energy = np.zeros(rows.shape[0])
+        for c, column in zip(th, rows.T):
+            energy += c * column
+        return energy
 
     def control_generator(self, theta) -> np.ndarray:
-        """theta . Q as a diagonal vector or dense hermitian matrix."""
-        th = as_components(theta, self.n_observables)
-        if self.is_diagonal:
-            out = np.zeros(self.dim)
-            for c, d in zip(th, self.diagonals):
-                out += c * d
-            return out
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for c, m in zip(th, self.dense):
-            out += c * m
-        return out
+        """theta . Q on each basis vector of :meth:`level_view`.
+
+        The generator is diagonal in the view's basis (the product basis, or
+        the dense family's eigenbasis), so this vector is all of it.
+        """
+        return self.level_energies(theta)[self.level_view().index]
 
     def gram_matrix(self) -> np.ndarray:
         """Gram matrix under the normalized trace inner product Tr(A^t B)/dim."""
-        n = self.n_observables
-        g = np.empty((n, n))
-        for a in range(n):
-            for b in range(a, n):
-                if self.is_diagonal:
-                    val = float(np.dot(self.diagonals[a], self.diagonals[b])) / self.dim
-                else:
-                    val = float(np.real(np.trace(self.dense[a].conj().T @ self.dense[b]))) / self.dim
-                g[a, b] = g[b, a] = val
-        return g
+        rows, log_mult = self.levels()
+        return (rows * np.exp(log_mult)[:, None]).T @ rows / self.dim
 
 
 @dataclass(frozen=True)
@@ -341,10 +337,12 @@ class StructureReport:
 
 
 def _frozen(arrays) -> tuple:
-    """Read-only views of the given arrays; their owners stay writeable."""
-    views = tuple(a.view() for a in arrays)
+    """Read-only views of the given arrays (None passes through); their
+    owners stay writeable."""
+    views = tuple(None if a is None else a.view() for a in arrays)
     for view in views:
-        view.setflags(write=False)
+        if view is not None:
+            view.setflags(write=False)
     return views
 
 
@@ -353,14 +351,6 @@ def _site_spins(n_sites: int) -> np.ndarray:
     idx = np.arange(2**n_sites, dtype=np.int64)
     bits = (idx[:, None] >> (n_sites - 1 - np.arange(n_sites))[None, :]) & 1
     return (1 - 2 * bits).T.astype(float)
-
-
-def _pauli():
-    # the chain needs only the real Paulis, so its Hamiltonian stays real:
-    # half the memory of a complex one and a real eigensolve
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
-    return sx, sz
 
 
 def lift_site_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
@@ -378,7 +368,9 @@ def build_model(spec: ModelSpec, region: Region, cap: int = DIMENSION_CAP) -> Ob
     free_spins: H = sum_i n_i with n_i = diag(0, 1).
     ising_chain: H = -J sum sz_i sz_{i+1} - h sum sz_i, plus M = sum sz_i.
     curie_weiss: H = -(J/2N)(sum sz_i)^2 - h sum sz_i, plus M.
-    transverse_ising_chain: H = -J sum sz sz - hx sum sx_i, single observable.
+    transverse_ising_chain: H = -J sum sz sz - hx sum sx_i, single observable,
+    built from the spin bits: sz sz is diagonal and sx_i flips bit n-1-i. The
+    matrix stays real (half the memory of a complex one, a real eigensolve).
     """
     expected = spec.region(region.size)
     if (region.geometry, region.boundary) != (expected.geometry, expected.boundary):
@@ -389,17 +381,19 @@ def build_model(spec: ModelSpec, region: Region, cap: int = DIMENSION_CAP) -> Ob
     if dim > cap:
         raise ResourceError(f"dimension 2^{n} = {dim} exceeds cap {cap}")
 
+    spins = _site_spins(n)
     if spec.kind == "transverse_ising_chain":
-        sx, sz = _pauli()
-        ham = np.zeros((dim, dim))
         last = n if region.boundary == "periodic" else n - 1
+        diag = np.zeros(dim)
         for i in range(last):
-            ham -= spec.J * lift_site_operator(sz, i, n) @ lift_site_operator(sz, (i + 1) % n, n)
+            diag -= spec.J * (spins[i] * spins[(i + 1) % n])
+        ham = np.zeros((dim, dim))
+        idx = np.arange(dim)
+        ham[idx, idx] = diag
         for i in range(n):
-            ham -= spec.hx * lift_site_operator(sx, i, n)
+            ham[idx, idx ^ (1 << (n - 1 - i))] -= spec.hx
         return ObservableFamily(region, spec.labels, matrices=[ham], spec=spec)
 
-    spins = _site_spins(n)
     total_sz = spins.sum(axis=0)
     if spec.kind == "free_spins":
         number = (1.0 - spins) / 2.0

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from oracles import free_spin_pressure, ising_log_lambda_plus, mean_field_fixed_point
 import thermolab.gibbs as gibbs
-from thermolab import ConfigError, CurveSamples
+from thermolab import ConfigError, CurveSamples, UsageError
 from thermolab.cli import Config, _parse_number_list, main, run_experiment
 
 LN2 = math.log(2.0)
@@ -321,6 +321,41 @@ class TestMainEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["subcommand"] == "pressure"
+
+
+class TestShippedConfigs:
+    """Every config in configs/ runs, under the subcommand its file name names."""
+
+    SUBCOMMAND_OF = {"pressure": "pressure", "kms": "kms-verify",
+                     "diff_test": "diff-test", "completeness": "completeness"}
+    CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+
+    def test_every_config_is_covered(self):
+        assert len(self.CONFIGS) >= 4
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+    def test_config_runs(self, tmp_path, path):
+        prefix = next(k for k in self.SUBCOMMAND_OF if path.stem.startswith(k + "_"))
+        manifest = run_experiment(self.SUBCOMMAND_OF[prefix], path, tmp_path)
+        assert manifest["artifacts"]
+        for record in manifest["artifacts"]:
+            assert record["rows"] > 0, record
+
+
+class TestGeometricFitGate:
+    def test_models_without_two_modes_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, """
+        model = curie_weiss
+        J = 1.0
+        theta0 = 0.5, 1.0
+        sizes = 4:8
+        fit = geometric
+        """)
+        with pytest.raises(UsageError):
+            run_experiment("pressure", path, tmp_path / "out")
+        code = main(["pressure", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "geometric" in capsys.readouterr().err
 
 
 class TestBadNumbers:

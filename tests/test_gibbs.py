@@ -16,6 +16,7 @@ from oracles import (
 from thermolab import (
     DensityState,
     ModelSpec,
+    NumericRangeError,
     ObservableFamily,
     Region,
     UsageError,
@@ -452,3 +453,80 @@ class TestPressureLeavesLevelViewUnbuilt:
                 assert gibbs._family(spec, n, gibbs.DIMENSION_CAP)._level_view is None
         finally:
             gibbs.release_families()
+
+
+class TestGeometricErrorBarSmallModeRatio:
+    def test_pressure_chain_point_with_tiny_second_mode(self):
+        # l2/l1 = 0.056, so the last four sizes carry only roundoff of the
+        # second mode and their refit is noise; the error bar must not be
+        j, h, theta = 1.005, 0.68, [0.759608, -0.897865]
+        spec = ModelSpec("ising_chain", J=j, h=h)
+        est = pressure_limit(spec, theta, list(range(4, 15)), fit="geometric")
+        exact = ising_log_lambda_plus(theta[0], j, h - theta[1] / theta[0])
+        assert abs(est.value - exact) <= est.extrapolation_error <= 1e-12
+
+
+class TestGeometricGate:
+    """The geometric fit runs only where Z_N = l1^N + l2^N exactly."""
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec("curie_weiss", J=1.0, h=0.1),
+        ModelSpec("ising_chain", J=1.0, h=0.3, boundary="open"),
+        ModelSpec("transverse_ising_chain", J=1.0, hx=0.5),
+    ], ids=lambda s: f"{s.kind}-{s.boundary}")
+    def test_other_models_are_refused(self, spec):
+        with pytest.raises(UsageError, match="geometric"):
+            pressure_limit(spec, [0.8] * spec.n_observables, [4, 5, 6], fit="geometric")
+
+    @pytest.mark.parametrize("theta0", [-3.0, 0.0, 0.3, 5.0])
+    def test_free_spins_pure_power(self, theta0):
+        est = pressure_limit(ModelSpec("free_spins"), [theta0], [4, 5, 6, 7, 8, 9],
+                             fit="geometric")
+        actual = abs(est.value - free_spin_pressure(theta0))
+        assert actual <= est.extrapolation_error <= 1e-13
+
+    def test_no_dominant_root_is_a_range_error(self, monkeypatch):
+        monkeypatch.setattr(gibbs, "_two_mode_value", lambda *args: None)
+        with pytest.raises(NumericRangeError):
+            pressure_limit(ModelSpec("ising_chain", J=1.0, h=0.5), [1.0, 0.0],
+                           list(range(4, 10)), fit="geometric")
+
+
+class TestStatesFromTheLevelView:
+    """States and expectations come from the family's cached level view."""
+
+    @staticmethod
+    def dense_family():
+        spec = ModelSpec("transverse_ising_chain", J=1.0, hx=0.6, boundary="open")
+        return build_model(spec, spec.region(4))
+
+    def test_no_eigensolve_once_the_view_is_built(self, monkeypatch):
+        fam = self.dense_family()
+        fam.level_view()
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counting(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _solve(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        for theta0 in (0.8, -1.3):
+            rho = canonical_state(fam, [theta0])
+            assert abs(variational_gap(rho, fam, [theta0])) <= 1e-12
+        assert calls == []
+
+    def test_dense_expectation_matches_trace(self):
+        fam = self.dense_family()
+        rng = np.random.default_rng(3)
+        for rho in (random_density_state(fam.dim, rng), maximally_mixed(fam.dim),
+                    canonical_state(fam, [0.9])):
+            direct = float(np.real(np.trace(rho.matrix @ fam.dense[0])))
+            assert_allclose(expectation_vector(rho, fam), [direct], atol=1e-12)
+
+    def test_diagonal_expectation_matches_trace(self):
+        fam = ising(4, j=0.8, h=0.3)
+        rng = np.random.default_rng(4)
+        for rho in (random_density_state(fam.dim, rng), canonical_state(fam, [0.7, 0.2])):
+            direct = [float(np.real(np.trace(rho.matrix @ np.diag(d)))) for d in fam.diagonals]
+            assert_allclose(expectation_vector(rho, fam), direct, atol=1e-12)
+        with pytest.raises(UsageError):
+            expectation_vector(maximally_mixed(8), fam)

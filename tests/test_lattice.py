@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import enumerate_spin_chain_logz
+from oracles import enumerate_spin_chain_logz, transverse_ising_matrix
 from thermolab import (
     ModelSpec,
     Region,
@@ -12,7 +12,7 @@ from thermolab import (
     build_model,
     verify_family,
 )
-from thermolab.lattice import ObservableFamily, _site_spins
+from thermolab.lattice import ObservableFamily, _site_spins, lift_site_operator
 
 
 def test_region_validation():
@@ -254,3 +254,56 @@ class TestLevelView:
         assert_allclose(vec.T @ vec, np.eye(fam.dim), atol=1e-12)
         assert_allclose((vec * lam) @ vec.T, fam.dense[0], atol=1e-12)
         assert_allclose(lam, fam.levels()[0][:, 0], atol=1e-12)
+
+
+def _kron_transverse_hamiltonian(n, j, hx, periodic):
+    """-J sum sz sz - hx sum sx from kron-lifted single-site Paulis."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+    ham = np.zeros((2**n, 2**n))
+    for i in range(n if periodic else n - 1):
+        ham -= j * lift_site_operator(sz, i, n) @ lift_site_operator(sz, (i + 1) % n, n)
+    for i in range(n):
+        ham -= hx * lift_site_operator(sx, i, n)
+    return ham
+
+
+class TestTransverseHamiltonian:
+    """The bit-operation build equals the kron build exactly."""
+
+    # n=1 periodic has a self bond and n=2 periodic a doubled bond
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_kron_reference_bit_for_bit(self, n, boundary):
+        for j, hx in ((1.0, 0.7), (0.7, 0.3), (-0.9, -0.4)):
+            spec = ModelSpec("transverse_ising_chain", J=j, hx=hx, boundary=boundary)
+            ham = build_model(spec, spec.region(n)).dense[0]
+            periodic = boundary == "periodic"
+            reference = _kron_transverse_hamiltonian(n, j, hx, periodic)
+            assert ham.dtype == reference.dtype
+            assert ham.tobytes() == reference.tobytes()
+            # bonds are summed one by one, so an entry whose bonds cancel
+            # carries their roundoff instead of an exact zero
+            assert_allclose(ham, transverse_ising_matrix(n, j, hx, periodic), rtol=1e-15,
+                            atol=n * np.finfo(float).eps * abs(j))
+
+
+class TestSpectralForm:
+    """Gram matrix and generator read the family's levels, whatever its storage."""
+
+    def test_gram_matrix_from_levels(self):
+        spec = ModelSpec("ising_chain", J=0.8, h=0.3)
+        fam = build_model(spec, spec.region(5))
+        table = np.stack(fam.diagonals)
+        assert_allclose(fam.gram_matrix(), table @ table.T / fam.dim, rtol=1e-14)
+        spec = ModelSpec("transverse_ising_chain", J=1.0, hx=0.6)
+        fam = build_model(spec, spec.region(4))
+        ham = fam.dense[0]
+        assert_allclose(fam.gram_matrix(), [[np.trace(ham @ ham) / fam.dim]], rtol=1e-13)
+
+    def test_dense_generator_is_diagonal_in_the_view_basis(self):
+        spec = ModelSpec("transverse_ising_chain", J=1.0, hx=0.6, boundary="open")
+        fam = build_model(spec, spec.region(4))
+        gen = fam.control_generator([-0.7])
+        vec = fam.level_view().basis
+        assert_allclose((vec * gen) @ vec.T, -0.7 * fam.dense[0], atol=1e-12)

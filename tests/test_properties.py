@@ -1,4 +1,5 @@
-"""Property tests: CSV round trip and Legendre involution on sampled curves."""
+"""Property tests: CSV round trip and Legendre involution on sampled curves,
+and the expansion of ``lo:hi:step`` config ranges."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from thermolab import CONCAVE, CONVEX, CurveSamples, biconjugate, conjugate  # noqa: E402
+from thermolab import (  # noqa: E402
+    CONCAVE,
+    CONVEX,
+    ConfigError,
+    CurveSamples,
+    biconjugate,
+    conjugate,
+)
+from thermolab.cli import Config  # noqa: E402
 
 # derandomized and without an example database, so runs are reproducible
 # and leave no files behind
@@ -84,3 +93,83 @@ class TestLegendreInvolution:
         phi = CurveSamples(slopes, [conjugate(f, th) for th in slopes], CONVEX)
         back = np.array([conjugate(phi, q) for q in f.grid[:, 0]])
         assert np.max(np.abs(back - f.values)) <= _roundoff_scale(f, slopes)
+
+
+def _decimal_token(units: int, decimals: int) -> str:
+    """units * 10^-decimals written with exactly ``decimals`` places."""
+    if decimals == 0:
+        return str(units)
+    whole, frac = divmod(abs(units), 10**decimals)
+    return f"{'-' if units < 0 else ''}{whole}.{frac:0{decimals}d}"
+
+
+def _expand(text: str) -> list:
+    return Config({"theta0": (text, 1)}).get_floats("theta0")
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def decimal_ranges(draw):
+    """A range written in decimals, its grid in units and the point count.
+
+    hi lies on the grid or falls short of the next point by ``slack`` units.
+    """
+    decimals = draw(st.integers(0, 4))
+    lo = draw(st.integers(-10**5, 10**5))
+    step = draw(st.integers(1, 10**4))
+    count = draw(st.integers(1, 200))
+    slack = draw(st.integers(0, step - 1))
+    hi = lo + (count - 1) * step + slack
+    text = ":".join(_decimal_token(u, decimals) for u in (lo, hi, step))
+    return text, [_decimal_token(lo + k * step, decimals) for k in range(count)], hi, decimals
+
+
+junk = st.text("abcxyz:_+-.e ", min_size=1, max_size=6).filter(
+    lambda t: ":" not in t and not _is_number(t)
+)
+
+
+@st.composite
+def bad_ranges(draw):
+    """lo:hi:step texts the config reader must refuse."""
+    lo, width, step = draw(st.integers(-50, 50)), draw(st.integers(1, 50)), draw(st.integers(1, 9))
+    parts = [str(lo), str(lo + width), str(step)]
+    flaw = draw(st.sampled_from(["junk", "reversed", "step", "non-finite", "huge", "arity"]))
+    if flaw == "junk":
+        parts[draw(st.integers(0, 2))] = draw(junk)
+    elif flaw == "reversed":
+        parts[0], parts[1] = parts[1], parts[0]
+    elif flaw == "step":
+        parts[2] = draw(st.sampled_from(["0", "-1", f"-{step}", "0.0"]))
+    elif flaw == "non-finite":
+        parts[draw(st.integers(0, 2))] = draw(st.sampled_from(["inf", "-inf", "nan", "1e400"]))
+    elif flaw == "huge":  # finite bounds, but (hi - lo) / step overflows
+        parts = [f"-{width}e307", f"{width}e307", f"{step}e-308"]
+    else:
+        parts.append(str(step))
+    return ":".join(parts)
+
+
+class TestConfigRanges:
+    @PROPERTY_SETTINGS
+    @given(decimal_ranges())
+    def test_points_are_the_decimal_grid(self, case):
+        text, grid, hi, decimals = case
+        values = _expand(text)
+        assert len(values) == len(grid)
+        # endpoints included exactly, every point on the written grid
+        assert values == [float(token) for token in grid]
+        assert values[-1] <= float(_decimal_token(hi, decimals))
+
+    @PROPERTY_SETTINGS
+    @given(bad_ranges())
+    def test_bad_ranges_are_config_errors(self, text):
+        with pytest.raises(ConfigError):
+            _expand(text)
