@@ -94,15 +94,20 @@ class Config:
                               key=key, line=self._line(key))
         return value
 
-    def get_float(self, key: str, default=None, required: bool = False):
+    def get_float(self, key: str, default=None, required: bool = False,
+                  positive: bool = False):
         value = self._take(key, required)
         if value is None:
             return default
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
             raise ConfigError(f"cannot parse {value!r} as a number",
                               key=key, line=self._line(key)) from None
+        if positive and not 0.0 < number < math.inf:
+            raise ConfigError(f"expected a positive finite number, got {value!r}",
+                              key=key, line=self._line(key))
+        return number
 
     def get_int(self, key: str, default=None, required: bool = False):
         value = self._take(key, required)
@@ -148,12 +153,8 @@ class Config:
 
 
 def _parse_number_list(text: str) -> list[float]:
-    """Scalars, comma lists, and lo:hi[:step] inclusive ranges.
-
-    Range points are lo + k*step rounded to the most decimals among lo, hi
-    and step, so ``-0.1:0.1:0.01`` passes through 0 exactly and
-    ``0:0.3:0.1`` ends at 0.3; no point lies past hi.
-    """
+    """Scalars, comma lists, and lo:hi[:step] inclusive ranges (see
+    ``_decimal_range``)."""
     text = text.strip()
     if "," in text:
         return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -164,19 +165,30 @@ def _parse_number_list(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"bad range {text!r}")
         lo, hi, step = (float(p) for p in parts)
-        if not all(math.isfinite(x) for x in (lo, hi, step)):
-            raise ValueError(f"range bounds must be finite in {text!r}")
-        if step <= 0 or hi < lo:
-            raise ValueError(f"bad range bounds {text!r}")
-        if (hi - lo) / step >= MAX_RANGE_POINTS:
-            raise ValueError(f"range {text!r} has over {MAX_RANGE_POINTS} points")
-        decimals = max(_decimals(p) for p in parts)
-        count = math.floor((hi - lo) / step + 0.5) + 1
-        if round(lo + (count - 1) * step, decimals) > hi:
-            count -= 1  # the span was rounded up to a whole step past hi
-        # "+ 0.0" turns a rounded -0.0 into 0.0
-        return [round(lo + k * step, decimals) + 0.0 for k in range(count)]
+        return _decimal_range(lo, hi, step, max(_decimals(p) for p in parts))
     return [float(text)]
+
+
+def _decimal_range(lo: float, hi: float, step: float, decimals: int) -> list[float]:
+    """lo, lo + step, ... up to hi inclusive, each point rounded to ``decimals``.
+
+    Rounding to the most decimals among lo, hi and step makes
+    ``-0.1:0.1:0.01`` pass through 0 exactly and ``0:0.3:0.1`` end at 0.3;
+    no point lies past hi. Bad bounds and ranges of over MAX_RANGE_POINTS
+    points raise ValueError before any point is built.
+    """
+    text = f"{lo!r}:{hi!r}:{step!r}"
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise ValueError(f"range bounds must be finite in {text}")
+    if step <= 0 or hi < lo:
+        raise ValueError(f"bad range bounds {text}")
+    if (hi - lo) / step >= MAX_RANGE_POINTS:
+        raise ValueError(f"range {text} has over {MAX_RANGE_POINTS} points")
+    count = math.floor((hi - lo) / step + 0.5) + 1
+    if round(lo + (count - 1) * step, decimals) > hi:
+        count -= 1  # the span was rounded up to a whole step past hi
+    # "+ 0.0" turns a rounded -0.0 into 0.0
+    return [round(lo + k * step, decimals) + 0.0 for k in range(count)]
 
 
 def _decimals(token: str) -> int:
@@ -422,14 +434,21 @@ def _run_kms_verify(cfg: Config, writer: ArtifactWriter, threads: int):
 def _run_diff_test(cfg: Config, writer: ArtifactWriter, threads: int):
     family = ErgodicFamily(_model_from_config(cfg))
     theta0 = cfg.get_float("theta0", required=True)
-    step = cfg.get_float("kink_step", 1e-4)
-    spacing = cfg.get_float("m_spacing", 1e-3)
+    step = cfg.get_float("kink_step", 1e-4, positive=True)
+    spacing = cfg.get_float("m_spacing", 1e-3, positive=True)
     m_max = cfg.get_float("m_max", 0.97)
 
     # smoothness of the entropy surface along the family curve; the sweep is
     # padded two steps so every reported point has full two-interval stencils
-    pad = 2.0 * spacing
-    m_values = np.arange(-(m_max + pad), m_max + pad + spacing / 2.0, spacing)
+    decimals = max(_decimals(repr(x)) for x in (m_max, spacing))
+    edge = round(m_max + 2.0 * spacing, decimals)
+    if not (m_max >= 0.0 and edge <= 1.0):
+        raise ConfigError(f"the padded sweep m_max + 2 * m_spacing = {edge!r} "
+                          "must lie in [0, 1]", key="m_max", line=cfg._line("m_max"))
+    try:
+        m_values = _decimal_range(-edge, edge, spacing, decimals)
+    except ValueError as exc:
+        raise ConfigError(str(exc), key="m_spacing", line=cfg._line("m_spacing")) from None
     curve = entropy_curve(family, family_curve_constraints(family, m_values))
     width_rows = []
     for i in range(2, curve.npoints - 2):

@@ -4,16 +4,19 @@ The family maps a single-site polarization m in [-1, 1] to the product state
 with site density diag((1+m)/2, (1-m)/2). Its per-site entropy eta(m) and
 observable densities q(m) = (e(m), m) are closed-form, so the constrained
 maximum-entropy problem "maximize eta(m) subject to q_k(m) = c_k" is solved
-by a dense scan plus local refinement, and the number of surviving
-maximizers diagnoses whether the constrained observables pin a unique phase
-(multiplicity 1) or leave a symmetry-related pair (multiplicity 2, the
-ferromagnet scenario below the critical energy).
+exactly, and the number of surviving maximizers diagnoses whether the
+constrained observables pin a unique phase (multiplicity 1) or leave a
+symmetry-related pair (multiplicity 2, the ferromagnet scenario below the
+critical energy).
 
-The scan is split into monotone segments by one vectorized sign-flip test,
-once per component. Roots are refined by bisection and golden-section
-search on plain-float closures built once from the family's coefficients
+Every density component is a polynomial of degree <= 2 in m
+(``ErgodicFamily.component_coefficients``), so the roots of each constraint
+come from the stable quadratic formula. A joint constraint takes one
+component's roots (a linear one's, if constrained) and keeps those that meet
+every component, checked with plain-float closures
 (``ErgodicFamily.component_offset``), the same ones ``density_component``
-evaluates scalars with.
+evaluates scalars with. A dense scan of the family remains for the
+attainable ranges and the variational pressure.
 
 For the mean-field (complete graph) model this family is variationally exact
 in the large-volume limit; that restriction is recorded in every artifact
@@ -127,7 +130,11 @@ class ErgodicFamily:
         return self._scan
 
     def _monotone_segments(self, k: int) -> list[tuple[int, int]]:
-        """Index ranges [i0, i1] of the scan on which q_k is monotone."""
+        """Index ranges [i0, i1] of the scan on which q_k is monotone.
+
+        The closed-form root search does not use it; it stays as the
+        vectorized split that ``TestMonotoneSegmentsReference`` pins.
+        """
         if self._segments is None:
             self._segments = {}
         if k not in self._segments:
@@ -139,12 +146,20 @@ class ErgodicFamily:
             self._segments[k] = list(zip(breaks[:-1], breaks[1:]))
         return self._segments[k]
 
+    def component_coefficients(self, k: int) -> tuple[float, float, float]:
+        """(a, b, c) with q_k(m) = a m^2 + b m + c."""
+        if self.model.kind == "free_spins":
+            return 0.0, -0.5, 0.5
+        if k == 1:
+            return 0.0, 1.0, 0.0
+        return -self._energy_coefficient(), -self.model.h, 0.0
+
     def component_offset(self, k: int, target: float):
-        """x -> q_k(x) - target on plain floats, for root refinement.
+        """x -> q_k(x) - target on plain floats.
 
         ``density_component`` evaluates scalars through it too, so both
-        agree bit for bit; refinement loops call it directly and skip the
-        per-call dispatch.
+        agree bit for bit; the feasibility and extremum checks of the root
+        search call it directly and skip the per-call dispatch.
         """
         if self.model.kind == "free_spins":
             return lambda x: (1.0 - x) / 2.0 - target
@@ -215,19 +230,6 @@ def normalize_constraint(family: ErgodicFamily, constraint) -> dict:
     return out
 
 
-def _bisect(fn, a: float, b: float, fa: float, fb: float, xtol: float = REFINE_TOL) -> float:
-    while b - a > xtol:
-        mid = 0.5 * (a + b)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (fa < 0) != (fm < 0):
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
-
-
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -252,62 +254,32 @@ def _component_roots(family: ErgodicFamily, k: int, target: float, tol: float):
     """Roots of q_k(m) = target on [-1, 1], or None for an unconstraining
     component (q_k equal to target everywhere within tol).
 
-    The scan column is split once into monotone segments; each segment is
-    bracketed by binary search and refined by bisection, and segment
-    endpoints (extrema of q_k, where double roots sit) get a tangential-root
-    check via |q_k - target| minimization.
+    q_k is a polynomial of degree <= 2, so the roots are closed form: -c/b
+    for a linear component, the stable quadratic formula otherwise. The
+    extrema of q_k on [-1, 1] (the endpoints, the vertex) are candidates
+    too, for a double root or one just past a band edge. A candidate counts
+    as a root where q_k meets the target within max(tol, 1e-9).
     """
-    m, q, _ = family._scan_arrays()
-    col = q[:, k]
     lo_range, hi_range = family.component_range(k)
     if hi_range <= target + tol and lo_range >= target - tol:
         return None  # continuum: component places no restriction
 
+    a, b, c = family.component_coefficients(k)
+    c -= target
+    candidates = [-1.0, 1.0]
+    if a == 0.0:
+        if b != 0.0:
+            candidates.append(-c / b)
+    else:
+        candidates.append(-b / (2.0 * a))
+        disc = b * b - 4.0 * a * c
+        if disc >= 0.0:
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            candidates += [q / a, c / q] if q != 0.0 else [0.0]
     fn = family.component_offset(k, target)
-    band = max(tol, 1e-8)
     accept = max(tol, 1e-9)
-    step = float(m[1] - m[0])
-    roots: list[float] = []
-
-    def refine_touch(center: float):
-        lo = max(-1.0, center - step)
-        hi = min(1.0, center + step)
-        x, neg_abs = _golden_max(lambda y: -abs(fn(y)), lo, hi)
-        if -neg_abs <= accept:
-            roots.append(x)
-
-    for i0, i1 in family._monotone_segments(k):
-        a, b = float(col[i0]), float(col[i1])
-        lo_val, hi_val = min(a, b), max(a, b)
-        if target < lo_val - band or target > hi_val + band:
-            continue
-        if target < lo_val or target > hi_val:
-            # just beyond the segment's reach: tangential root at the extremum
-            refine_touch(float(m[i0] if abs(a - target) < abs(b - target) else m[i1]))
-            continue
-        seg = col[i0 : i1 + 1]
-        ascending = seg[-1] >= seg[0]
-        view = seg if ascending else seg[::-1]
-        pos = int(np.searchsorted(view, target))
-        if pos == 0 or pos == len(view):
-            edge = i0 if (ascending == (pos == 0)) else i1
-            refine_touch(float(m[edge]))
-            continue
-        if ascending:
-            left, right = i0 + pos - 1, i0 + pos
-        else:
-            left, right = i1 - pos, i1 - pos + 1
-        fa, fb = float(col[left] - target), float(col[right] - target)
-        if fa == 0.0:
-            roots.append(float(m[left]))
-        elif fb == 0.0:
-            roots.append(float(m[right]))
-        elif (fa < 0) != (fb < 0):
-            roots.append(_bisect(fn, float(m[left]), float(m[right]), fa, fb))
-        else:
-            refine_touch(float(0.5 * (m[left] + m[right])))
-
-    roots.sort()
+    # "+ 0.0" turns a -0.0 root into 0.0
+    roots = sorted(x + 0.0 for x in candidates if -1.0 <= x <= 1.0 and abs(fn(x)) <= accept)
     merged: list[float] = []
     for x in roots:
         if not merged or x - merged[-1] > MERGE_RADIUS:
@@ -318,9 +290,10 @@ def _component_roots(family: ErgodicFamily, k: int, target: float, tol: float):
 def constrained_entropy_max(family: ErgodicFamily, constraint, tol: float = 1e-9) -> MaximizerSet:
     """Maximize eta(m) subject to the specified density components.
 
-    The feasible set is located by a dense scan at resolution 1e-5 refined to
-    1e-10; all global maximizers within ``tol`` of the optimum are returned,
-    merged within MERGE_RADIUS. Flat optima come back with multiplicity inf
+    The roots of the constrained components come in closed form; those that
+    meet every component within max(tol, 1e-9) are feasible, and all
+    global maximizers within ``tol`` of the optimum are returned, merged
+    within MERGE_RADIUS. Flat optima come back with multiplicity inf
     and the interval endpoints. Raises InfeasibleConstraintError (listing the
     reachable ranges) when no polarization meets the constraint.
     """
@@ -328,19 +301,17 @@ def constrained_entropy_max(family: ErgodicFamily, constraint, tol: float = 1e-9
         raise UsageError("tol must be positive")
     cons = normalize_constraint(family, constraint)
 
-    root_sets = {}
-    all_continuum = True
-    for k, target in cons.items():
-        roots = _component_roots(family, k, target, tol)
-        if roots is not None:
-            all_continuum = False
-            root_sets[k] = roots
-
-    feas_tol = max(tol, 1e-9)
-    if all_continuum:
+    root_sets = {k: _component_roots(family, k, v, tol) for k, v in cons.items()}
+    root_sets = {k: roots for k, roots in root_sets.items() if roots is not None}
+    if not root_sets:
         return _continuum_maximum(family, cons, tol)
 
-    candidates = sorted({x for roots in root_sets.values() for x in roots})
+    # a feasible point is a root of every constrained component, so one
+    # component's roots are the candidates: a linear one's if constrained,
+    # since its single root is exact to one rounding
+    source = min(root_sets, key=lambda k: family.component_coefficients(k)[0] != 0.0)
+    candidates = root_sets[source]
+    feas_tol = max(tol, 1e-9)
     offsets = [family.component_offset(k, v) for k, v in cons.items()]
     feasible = [x for x in candidates if all(abs(fn(x)) <= feas_tol for fn in offsets)]
     if not feasible:
@@ -476,6 +447,8 @@ def pressure_slope_gap(family: ErgodicFamily, theta, component: int = 1,
     th = as_components(theta, family.n_components)
     if not 0 <= component < family.n_components:
         raise UsageError(f"component {component} out of range")
+    if not 0.0 < step < math.inf:
+        raise UsageError(f"step must be positive and finite, got {step}")
     center = mean_field_pressure(family, th)
     plus = th.copy()
     plus[component] += step

@@ -5,6 +5,8 @@ transfer matrices, fixed-point bisection, hull geometry) so library results
 can be checked against an implementation that shares no code path with them.
 """
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 
 
@@ -144,6 +146,39 @@ def mean_field_fixed_point(theta0, tol=1e-12):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def product_state_roots(kind, j, h, k, target):
+    """Polarizations m in [-1, 1] with density component k equal to target,
+    and the per-site entropy eta at each: (roots, etas), roots ascending.
+
+    Densities of the product state of polarization m: (1 - m)/2 for free
+    spins; e = -J m^2 - h m (Ising chain) or -(J/2) m^2 - h m (Curie-Weiss)
+    for k = 0, m itself for k = 1. The energy roots come from the textbook
+    formula (-B +- sqrt(B^2 - 4AC)) / 2A, evaluated in 60-digit decimal
+    arithmetic from the exact float inputs, so the only error left in a
+    root is its final rounding to a float.
+    """
+    t = Decimal(float(target))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        if kind == "free_spins":
+            exact = [1 - 2 * t]
+        elif k == 1:
+            exact = [t]
+        else:
+            a = Decimal(float(j)) / (1 if kind == "ising_chain" else 2)
+            b = Decimal(float(h))
+            if a == 0:
+                exact = [-t / b] if b != 0 else []
+            else:
+                disc = b * b - 4 * a * t
+                if disc < 0:
+                    exact = []
+                else:
+                    exact = sorted({(-b + sign * disc.sqrt()) / (2 * a) for sign in (1, -1)})
+        roots = sorted(float(x) for x in exact if -1 <= x <= 1)
+    return roots, [binary_entropy((1.0 + m) / 2.0) for m in roots]
 
 
 def upper_concave_envelope(grid, values):

@@ -262,6 +262,42 @@ class TestDiffTestCommand:
         names = {a["path"] for a in manifest["artifacts"]}
         assert names == {"tangent_widths.csv", "pressure_kink.csv", "pressure_scan.csv"}
 
+    def test_sweep_reports_both_endpoints(self, tmp_path):
+        path = write_config(tmp_path, """
+        model = curie_weiss
+        J = 1.0
+        theta0 = 3.0
+        m_spacing = 0.01
+        m_max = 0.5
+        """)
+        run_experiment("diff-test", path, tmp_path / "out")
+        text = (tmp_path / "out" / "tangent_widths.csv").read_text()
+        lines = [line for line in text.splitlines() if not line.startswith("#")][1:]
+        m_values = [float(line.split(",")[1]) for line in lines]
+        assert len(m_values) == 2 * 50 + 1
+        assert m_values[0] == -0.5 and m_values[-1] == 0.5
+        assert m_values == [round(k / 100, 2) for k in range(-50, 51)]
+
+    BAD_SWEEPS = {
+        "zero-spacing": ("m_spacing = 0", "m_spacing"),
+        "zero-kink-step": ("kink_step = 0", "kink_step"),
+        "negative-spacing": ("m_spacing = -0.001", "m_spacing"),
+        "negative-kink-step": ("kink_step = -1e-4", "kink_step"),
+        "past-one": ("m_max = 0.99\nm_spacing = 0.01", "m_max"),  # padded sweep ends at 1.01
+        "negative-m-max": ("m_max = -0.1", "m_max"),
+        "too-many-points": ("m_spacing = 1e-9", "m_spacing"),  # about 2e9 points
+    }
+
+    @pytest.mark.parametrize("entries, key", BAD_SWEEPS.values(), ids=BAD_SWEEPS.keys())
+    def test_bad_sweeps_exit_2(self, tmp_path, capsys, entries, key):
+        path = write_config(tmp_path, f"model = curie_weiss\nJ = 1.0\ntheta0 = 3.0\n{entries}\n")
+        with pytest.raises(ConfigError) as exc:
+            run_experiment("diff-test", path, tmp_path / "out")
+        assert key in str(exc.value)
+        code = main(["diff-test", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_rerun_bodies_identical(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from oracles import (
     free_spin_pressure,
     looped_monotone_segments,
     mean_field_fixed_point,
+    product_state_roots,
 )
 from thermolab import (
     ErgodicFamily,
@@ -25,6 +27,7 @@ from thermolab import (
     pressure_slope_gap,
     tangent_set,
 )
+from thermolab.cli import Config
 from thermolab.completeness import InfeasibleGridPointWarning, normalize_constraint
 
 LN2 = math.log(2.0)
@@ -183,6 +186,16 @@ class TestEntropyCurve:
         assert curve.metadata["family"] == "product_states"
         assert concavity_violations(curve, 1e-9) == []
 
+    @pytest.mark.parametrize("h", [0.0, 0.3])
+    def test_joint_constraint_returns_eta_of_its_m(self, h):
+        # the magnetization component pins m exactly, so the entropy of each
+        # joint constraint is eta(m) itself, not that of a nearby energy root
+        fam = cw(h=h)
+        m_values = np.round(np.arange(-972, 973) / 1000, 3)
+        curve = entropy_curve(fam, family_curve_constraints(fam, m_values))
+        assert curve.values.tolist() == [fam.entropy(float(m)) for m in m_values]
+        assert_allclose(curve.values, binary_entropy((1 + m_values) / 2), rtol=0, atol=1e-15)
+
     def test_energy_only_curve(self):
         fam = cw()
         e_values = np.linspace(-0.5, 0.0, 26)
@@ -244,6 +257,11 @@ class TestMeanFieldPressure:
         fam = ErgodicFamily(ModelSpec("free_spins"))
         with pytest.raises(UsageError):
             pressure_slope_gap(fam, [1.0], component=1)
+
+    @pytest.mark.parametrize("step", [0.0, -1e-4, math.inf, math.nan])
+    def test_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(UsageError):
+            pressure_slope_gap(cw(), [3.0, 0.0], step=step)
 
 
 class TestJointCurveSmoothness:
@@ -312,3 +330,46 @@ class TestComponentOffset:
             fn = family.component_offset(k, 0.25)
             got = np.array([fn(x) for x in xs])
             assert_allclose(got, q[:, k] - 0.25, rtol=1e-15, atol=1e-15)
+
+
+SHIPPED_E_VALUES = Config.load(
+    Path(__file__).resolve().parents[1] / "configs" / "completeness_curie_weiss.cfg"
+).get_floats("e_values")
+
+# (kind, J, h, component, target); band-edge targets use dyadic J and h, so
+# the edge values e(+-1) and the vertex value are exact floats
+EXACT_ROOT_CASES = (
+    [("curie_weiss", 1.0, 0.0, 0, e) for e in SHIPPED_E_VALUES]
+    + [("curie_weiss", 1.0, 0.3, 0, e) for e in (-0.7, -0.5, -0.1, 0.0, 0.03)]
+    + [("curie_weiss", 2.0, -0.05, 0, e) for e in (-0.9, -0.2, 0.0005)]
+    + [("ising_chain", 1.5, -0.4, 0, e) for e in (-1.8, -1.0, -0.3, 0.02)]
+    + [("ising_chain", 1.0, 0.0, 0, e) for e in (-0.81, -0.25)]
+    + [("free_spins", 1.0, 0.0, 0, 0.3), ("curie_weiss", 1.0, 0.3, 1, -0.4)]
+    + [
+        ("curie_weiss", 1.0, 0.0, 0, -0.5),  # both poles
+        ("curie_weiss", 1.0, 0.25, 0, -0.75),  # m = 1
+        ("curie_weiss", 1.0, 0.25, 0, -0.25),  # m = -1 and m = 0.5
+        ("curie_weiss", 1.0, 0.5, 0, 0.125),  # double root at the vertex m = -0.5
+        ("ising_chain", 1.0, 0.5, 0, -1.5),  # m = 1
+        ("ising_chain", 1.0, 0.5, 0, -0.5),  # m = -1 and m = 0.5
+        ("ising_chain", 1.0, 0.5, 0, 0.0625),  # double root at the vertex m = -0.25
+        ("free_spins", 1.0, 0.0, 0, 0.0),  # m = 1
+    ]
+)
+
+
+class TestExactRoots:
+    """Entropies and maximizers equal eta at the exact roots to a few ulp."""
+
+    @pytest.mark.parametrize("case", EXACT_ROOT_CASES, ids=lambda c: "-".join(map(str, c)))
+    def test_matches_oracle(self, case):
+        kind, j, h, k, target = case
+        family = ErgodicFamily(ModelSpec(kind, J=j, h=h))
+        roots, etas = product_state_roots(kind, j, h, k, target)
+        assert roots
+        best = max(etas)
+        expected = [m for m, eta in zip(roots, etas) if eta >= best - 1e-9]
+        result = constrained_entropy_max(family, {k: target})
+        assert abs(result.entropy_value - best) <= 1e-14
+        assert len(result.maximizers) == len(expected)
+        assert_allclose(result.maximizers, expected, rtol=0, atol=1e-14)

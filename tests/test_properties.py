@@ -1,11 +1,14 @@
 """Property tests: CSV round trip and Legendre involution on sampled curves,
-and the expansion of ``lo:hi:step`` config ranges."""
+the expansion of ``lo:hi:step`` config ranges, and the closed-form roots of
+the product-state densities."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from thermolab import (  # noqa: E402
@@ -13,10 +16,13 @@ from thermolab import (  # noqa: E402
     CONVEX,
     ConfigError,
     CurveSamples,
+    ErgodicFamily,
+    ModelSpec,
     biconjugate,
     conjugate,
 )
 from thermolab.cli import Config  # noqa: E402
+from thermolab.completeness import _component_roots  # noqa: E402
 
 # derandomized and without an example database, so runs are reproducible
 # and leave no files behind
@@ -173,3 +179,66 @@ class TestConfigRanges:
     def test_bad_ranges_are_config_errors(self, text):
         with pytest.raises(ConfigError):
             _expand(text)
+
+
+def _density_coefficients(kind, j, h, k):
+    """Exact (a, b, c) of q_k(m) = a m^2 + b m + c for the product states:
+    (1 - m)/2 for free spins, else e = -J m^2 - h m (Ising chain) or
+    -(J/2) m^2 - h m (Curie-Weiss), and m itself for k = 1."""
+    if kind == "free_spins":
+        return Fraction(0), Fraction(-1, 2), Fraction(1, 2)
+    if k == 1:
+        return Fraction(0), Fraction(1), Fraction(0)
+    return -Fraction(j) / (1 if kind == "ising_chain" else 2), -Fraction(h), Fraction(0)
+
+
+def _extreme_values(a, b, c):
+    """q at m = -1, m = 1 and at the vertex when it lies in [-1, 1]."""
+    values = [a - b + c, a + b + c]
+    if a != 0 and abs(b) <= 2 * abs(a):
+        values.append(c - b * b / (4 * a))
+    return values
+
+
+TANGENT_MARGIN = Fraction(1, 10**6)
+
+
+@st.composite
+def component_targets(draw):
+    """(kind, J, h, k, target) with the target at least TANGENT_MARGIN from
+    every extreme value of q_k, so no root is tangential or at a band edge;
+    half the targets are q_k of a drawn polarization."""
+    kind = draw(st.sampled_from(["free_spins", "ising_chain", "curie_weiss"]))
+    j, h = draw(st.floats(-2.0, 2.0)), draw(st.floats(-1.0, 1.0))
+    k = 0 if kind == "free_spins" else draw(st.sampled_from([0, 0, 1]))
+    a, b, c = _density_coefficients(kind, j, h, k)
+    if draw(st.booleans()):
+        m = draw(st.floats(-1.0, 1.0))
+        target = float(a * m * m + b * m + c)
+    else:
+        target = draw(st.floats(-3.0, 3.0))
+    assume(all(abs(Fraction(target) - v) > TANGENT_MARGIN for v in _extreme_values(a, b, c)))
+    return kind, j, h, k, target
+
+
+def _sign_changes(values):
+    """Zeros plus strict sign changes along a sampled column."""
+    return int(np.sum(values == 0.0) + np.sum(values[:-1] * values[1:] < 0.0))
+
+
+class TestClosedFormRoots:
+    @settings(PROPERTY_SETTINGS, max_examples=100)
+    @given(component_targets())
+    def test_roots_meet_the_target_and_match_the_sign_changes(self, case):
+        kind, j, h, k, target = case
+        family = ErgodicFamily(ModelSpec(kind, J=j, h=h))
+        roots = _component_roots(family, k, target, 1e-9)
+        assert roots is not None
+        a, b, c = _density_coefficients(kind, j, h, k)
+        bound = 4 * np.finfo(float).eps * max(1.0, abs(target))
+        for x in roots:
+            x = Fraction(x)
+            assert abs(a * x * x + b * x + c - Fraction(target)) <= bound
+        grid = np.linspace(-1.0, 1.0, 20001)
+        column = float(a) * grid * grid + float(b) * grid + float(c) - target
+        assert len(roots) == _sign_changes(column)
