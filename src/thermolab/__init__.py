@@ -62,6 +62,7 @@ from .kms import (
     kms_residual,
     kms_smeared_residual,
     kms_theta_discrimination,
+    release_folds,
     site_pauli,
 )
 from .lattice import (

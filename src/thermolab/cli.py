@@ -38,6 +38,7 @@ from .kms import (
     default_quadrature_step,
     kms_residual,
     kms_smeared_residual,
+    release_folds,
 )
 from .lattice import ModelSpec, build_model
 
@@ -404,27 +405,32 @@ def _run_kms_verify(cfg: Config, writer: ArtifactWriter, threads: int):
             rows.append((spec.kind, n) + tuple(th) + (a.label, b.label, t, res))
         return rows
 
-    rows = [row for batch in _pool_map(residual_rows, thetas, threads) for row in batch]
-    writer.write_csv("residuals.csv",
-                     ["model", "N"] + theta_cols + ["A", "B", "t", "residual"], rows)
+    # each distinct probe pair is folded once and shared by every theta and t
+    # (and by the smeared rows); the run drops its folds when it ends
+    try:
+        rows = [row for batch in _pool_map(residual_rows, thetas, threads) for row in batch]
+        writer.write_csv("residuals.csv",
+                         ["model", "N"] + theta_cols + ["A", "B", "t", "residual"], rows)
 
-    smeared_rows = []
-    if sigma_w > 0 and smeared_per_theta > 0:
-        f = GaussianTestFunction(sigma_w)
-        for th in thetas:
-            step = default_quadrature_step(family, th, f)
-            for a, b, _ in probes[:smeared_per_theta]:
-                res = kms_smeared_residual(family, th, a, b, f, step=step)
-                smeared_rows.append(
-                    (spec.kind, n) + tuple(th)
-                    + (a.label, b.label, float("nan"), res, sigma_w, step)
-                )
-        writer.write_csv(
-            "smeared.csv",
-            ["model", "N"] + theta_cols
-            + ["A", "B", "t", "residual", "sigma_w", "quadrature_step"],
-            smeared_rows,
-        )
+        smeared_rows = []
+        if sigma_w > 0 and smeared_per_theta > 0:
+            f = GaussianTestFunction(sigma_w)
+            for th in thetas:
+                step = default_quadrature_step(family, th, f)
+                for a, b, _ in probes[:smeared_per_theta]:
+                    res = kms_smeared_residual(family, th, a, b, f, step=step)
+                    smeared_rows.append(
+                        (spec.kind, n) + tuple(th)
+                        + (a.label, b.label, float("nan"), res, sigma_w, step)
+                    )
+            writer.write_csv(
+                "smeared.csv",
+                ["model", "N"] + theta_cols
+                + ["A", "B", "t", "residual", "sigma_w", "quadrature_step"],
+                smeared_rows,
+            )
+    finally:
+        release_folds()
     worst = max(
         [r[-1] for r in rows] + [r[-3] for r in smeared_rows], default=0.0
     )
@@ -450,9 +456,15 @@ def _run_diff_test(cfg: Config, writer: ArtifactWriter, threads: int):
     except ValueError as exc:
         raise ConfigError(str(exc), key="m_spacing", line=cfg._line("m_spacing")) from None
     curve = entropy_curve(family, family_curve_constraints(family, m_values))
+    # rows are picked by the sweep's m, not by a density column (free spins
+    # have only (1 - m)/2). Some density of every family is strictly monotone
+    # in m, so the box around the window's densities holds exactly its points.
+    window = family.densities([m for m in m_values if abs(m) <= m_max])
+    reported = np.all((curve.grid >= window.min(axis=0))
+                      & (curve.grid <= window.max(axis=0)), axis=1)
     width_rows = []
     for i in range(2, curve.npoints - 2):
-        if abs(curve.grid[i, family.n_components - 1]) > m_max:
+        if not reported[i]:
             continue
         ts = tangent_set(curve, curve.grid[i])
         width_rows.append(tuple(curve.grid[i]) + tuple(ts.width) + (ts.max_width,))

@@ -65,6 +65,10 @@ class ErgodicFamily:
         self._scan: tuple | None = None
         self._segments: dict | None = None
         self._ranges: dict | None = None
+        # max(1, |a|, |b|, |c|) per component: it scales the root tolerance,
+        # and is exactly 1 for |J|, |h| <= 1
+        self.coefficient_scale = tuple(max(1.0, *map(abs, self.component_coefficients(k)))
+                                       for k in range(self.n_components))
 
     @property
     def component_labels(self) -> tuple[str, ...]:
@@ -258,7 +262,9 @@ def _component_roots(family: ErgodicFamily, k: int, target: float, tol: float):
     for a linear component, the stable quadratic formula otherwise. The
     extrema of q_k on [-1, 1] (the endpoints, the vertex) are candidates
     too, for a double root or one just past a band edge. A candidate counts
-    as a root where q_k meets the target within max(tol, 1e-9).
+    as a root where q_k meets the target within max(tol, 1e-9), times
+    ``coefficient_scale[k]``: the rounding residual of q_k(m) - target grows
+    with the coefficients (a root at J = 2e8 misses by more than 1e-9).
     """
     lo_range, hi_range = family.component_range(k)
     if hi_range <= target + tol and lo_range >= target - tol:
@@ -277,7 +283,7 @@ def _component_roots(family: ErgodicFamily, k: int, target: float, tol: float):
             q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
             candidates += [q / a, c / q] if q != 0.0 else [0.0]
     fn = family.component_offset(k, target)
-    accept = max(tol, 1e-9)
+    accept = max(tol, 1e-9) * family.coefficient_scale[k]
     # "+ 0.0" turns a -0.0 root into 0.0
     roots = sorted(x + 0.0 for x in candidates if -1.0 <= x <= 1.0 and abs(fn(x)) <= accept)
     merged: list[float] = []
@@ -291,7 +297,8 @@ def constrained_entropy_max(family: ErgodicFamily, constraint, tol: float = 1e-9
     """Maximize eta(m) subject to the specified density components.
 
     The roots of the constrained components come in closed form; those that
-    meet every component within max(tol, 1e-9) are feasible, and all
+    meet every component k within max(tol, 1e-9) * coefficient_scale[k]
+    (see ``_component_roots``) are feasible, and all
     global maximizers within ``tol`` of the optimum are returned, merged
     within MERGE_RADIUS. Flat optima come back with multiplicity inf
     and the interval endpoints. Raises InfeasibleConstraintError (listing the
@@ -311,9 +318,10 @@ def constrained_entropy_max(family: ErgodicFamily, constraint, tol: float = 1e-9
     # since its single root is exact to one rounding
     source = min(root_sets, key=lambda k: family.component_coefficients(k)[0] != 0.0)
     candidates = root_sets[source]
-    feas_tol = max(tol, 1e-9)
-    offsets = [family.component_offset(k, v) for k, v in cons.items()]
-    feasible = [x for x in candidates if all(abs(fn(x)) <= feas_tol for fn in offsets)]
+    floor = max(tol, 1e-9)
+    checks = [(family.component_offset(k, v), floor * family.coefficient_scale[k])
+              for k, v in cons.items()]
+    feasible = [x for x in candidates if all(abs(fn(x)) <= accept for fn, accept in checks)]
     if not feasible:
         reachable = {k: family.component_range(k) for k in cons}
         raise InfeasibleConstraintError(

@@ -15,9 +15,12 @@ actual cancellation rather than restating one formula twice.
 Spectrally, each two-point function only needs the weight that A and B
 carry between each pair of joint levels (l, m), at the Bohr frequency
 E_l - E_m. The residuals therefore fold the dim x dim cross weights
-A~[j,k] B~[k,j] once per call into an L x L level-pair table, from the
-family's cached level view (:meth:`ObservableFamily.level_view`), and do
-all phases, Boltzmann weights and quadrature over the L^2 level pairs.
+A~[j,k] B~[k,j] into an L x L level-pair table, from the family's cached
+level view (:meth:`ObservableFamily.level_view`), and do all phases,
+Boltzmann weights and quadrature over the L^2 level pairs. The table
+depends on neither theta nor t, so it is folded once per (family, A, B)
+and kept in a small memo that pointwise and smeared residuals share (see
+``FOLD_MEMO_SIZE`` and ``release_folds``).
 
 Test functions are Gaussians: entire, rapidly decaying, and with f(t-i)
 available in closed form along the shifted line.
@@ -26,19 +29,24 @@ available in closed form along the shifted line.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .convex import as_components
 from .errors import NumericRangeError, QuadratureError, ResourceError, UsageError
-from .lattice import ObservableFamily, lift_site_operator
+from .lattice import ObservableFamily, _frozen, lift_site_operator
 
-# Residual checks still form the dim x dim cross table A~[j,k] B~[k,j] (and,
-# for a dense family, rotate both probes into its eigenbasis) before folding
-# it over level pairs.
+# Residual checks form the dim x dim cross table A~[j,k] B~[k,j] (and, for a
+# dense family, rotate both probes into its eigenbasis) before folding it over
+# level pairs, once per distinct (family, A, B).
 _RESIDUAL_DIM_CAP = 2**10
+# Folds kept by the residuals' memo. default_probes makes 3 distinct pairs,
+# so one kms-verify run's folds all stay in it.
+FOLD_MEMO_SIZE = 8
 # Rows of A~ per strip when the cross table is folded over level pairs.
 _FOLD_ROWS = 64
 
@@ -48,9 +56,13 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULI = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestOperator:
-    """A labeled square matrix used as a probe in residual checks."""
+    """A labeled square matrix used as a probe in residual checks.
+
+    The matrix is a read-only view, and operators compare and hash by
+    identity, so the residuals' fold memo can key on the operator itself.
+    """
 
     __test__ = False  # not a pytest class, despite the name
 
@@ -63,7 +75,7 @@ class TestOperator:
             raise UsageError(f"test operator must be square, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise UsageError("test operator has non-finite entries")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen([m])[0])
 
     @property
     def dim(self) -> int:
@@ -161,13 +173,44 @@ def _folded_cross(atil: np.ndarray, btil: np.ndarray, index: np.ndarray,
     return (real + 1j * imag).reshape(n_levels, n_levels)
 
 
+@functools.lru_cache(maxsize=FOLD_MEMO_SIZE)
+def _memo_cross(family: ObservableFamily, a: TestOperator, b: TestOperator) -> np.ndarray:
+    # keyed by the identity of all three (neither class defines equality);
+    # the memo holds them, so their ids are not reused while an entry lives.
+    # _folded_cross is looked up at call time, so a rebinding (tests) sees
+    # every fold
+    view = family.level_view()
+    cross = _folded_cross(_rotate(a.matrix, view.basis), _rotate(b.matrix, view.basis),
+                          view.index, len(view.rows))
+    return _frozen([cross])[0]
+
+
+_memo_lock = threading.Lock()
+
+
+def _cross(family: ObservableFamily, a: TestOperator, b: TestOperator) -> np.ndarray:
+    """The folded cross table of (family, A, B), folded on first request.
+
+    The lock makes threads of one run wait for a fold another thread is
+    building instead of folding it again.
+    """
+    with _memo_lock:
+        return _memo_cross(family, a, b)
+
+
+def release_folds() -> None:
+    """Drop the folds the residuals have kept; later calls fold afresh."""
+    _memo_cross.cache_clear()
+
+
 def _residual_tables(family: ObservableFamily, theta, a: TestOperator, b: TestOperator):
     """Shared level-pair tables: shifted levels, log partition, folded cross weights.
 
     cross[l, m] sums A~[j,k] B~[k,j] over the basis vectors j of level l and
     k of level m; delta[l, m] = lam_l - lam_m are the Bohr frequencies. A
     dense family's index is the identity (one level per eigenvector), so its
-    fold is the plain table A~[j,k] B~[k,j].
+    fold is the plain table A~[j,k] B~[k,j]. The fold does not depend on
+    theta; it is taken from the memo (read-only), the rest is built per call.
     """
     view = family.level_view()
     lam = family.level_energies(theta)
@@ -175,9 +218,7 @@ def _residual_tables(family: ObservableFamily, theta, a: TestOperator, b: TestOp
     log_z = math.log(float(np.exp(view.log_mult - lam).sum()))
     if not math.isfinite(log_z):
         raise NumericRangeError("partition sum left the representable range")
-    atil = _rotate(a.matrix, view.basis)
-    btil = _rotate(b.matrix, view.basis)
-    cross = _folded_cross(atil, btil, view.index, len(lam))
+    cross = _cross(family, a, b)
     delta = lam[:, None] - lam[None, :]
     return lam, log_z, cross, delta
 

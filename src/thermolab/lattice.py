@@ -272,7 +272,14 @@ class ObservableFamily:
         return self.level_energies(theta)[self.level_view().index]
 
     def gram_matrix(self) -> np.ndarray:
-        """Gram matrix under the normalized trace inner product Tr(A^t B)/dim."""
+        """Gram matrix under the normalized trace inner product Tr(A^t B)/dim.
+
+        Diagonal families read it off the level table. The dense family's one
+        entry is sum |H_ij|^2 / dim, read off the matrix with no eigensolve.
+        """
+        if not self.is_diagonal:
+            m = self.dense[0]
+            return np.array([[np.vdot(m, m).real / self.dim]])
         rows, log_mult = self.levels()
         return (rows * np.exp(log_mult)[:, None]).T @ rows / self.dim
 
@@ -451,7 +458,9 @@ def verify_family(family: ObservableFamily) -> StructureReport:
         m = family.dense[0]
         herm = float(np.max(np.abs(m - m.conj().T)))
 
-    gram_min = float(np.min(np.linalg.eigvalsh(family.gram_matrix())))
+    gram = family.gram_matrix()
+    # a single observable's 1 x 1 Gram matrix is its own eigenvalue
+    gram_min = float(gram[0, 0] if gram.shape == (1, 1) else np.min(np.linalg.eigvalsh(gram)))
 
     trans = None
     if family.region.translation_invariant and family.region.size >= 2:

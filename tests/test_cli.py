@@ -278,6 +278,23 @@ class TestDiffTestCommand:
         assert m_values[0] == -0.5 and m_values[-1] == 0.5
         assert m_values == [round(k / 100, 2) for k in range(-50, 51)]
 
+    def test_free_spin_rows_follow_the_sweep_m(self, tmp_path):
+        # the free-spin density is (1 - m)/2, so the m window [-0.5, 0.5]
+        # reports q_0 from 0.25 to 0.75
+        path = write_config(tmp_path, """
+        model = free_spins
+        theta0 = 1.0
+        m_spacing = 0.01
+        m_max = 0.5
+        """)
+        run_experiment("diff-test", path, tmp_path / "out")
+        text = (tmp_path / "out" / "tangent_widths.csv").read_text()
+        lines = [line for line in text.splitlines() if not line.startswith("#")][1:]
+        q0 = [float(line.split(",")[0]) for line in lines]
+        assert len(q0) == 2 * 50 + 1
+        assert q0[0] == 0.25 and q0[-1] == 0.75
+        assert_allclose(q0, [(1.0 - k / 100) / 2.0 for k in range(50, -51, -1)], atol=1e-15)
+
     BAD_SWEEPS = {
         "zero-spacing": ("m_spacing = 0", "m_spacing"),
         "zero-kink-step": ("kink_step = 0", "kink_step"),

@@ -373,3 +373,33 @@ class TestExactRoots:
         assert abs(result.entropy_value - best) <= 1e-14
         assert len(result.maximizers) == len(expected)
         assert_allclose(result.maximizers, expected, rtol=0, atol=1e-14)
+
+
+class TestLargeCouplings:
+    """The root and feasibility tolerance scales with the coefficients."""
+
+    @pytest.mark.parametrize("target", [-2.5e7, -2.5e7 + 0.1, -24999996.7])
+    def test_both_phases_at_large_coupling(self, target):
+        j = 2e8
+        roots, etas = product_state_roots("curie_weiss", j, 0.0, 0, target)
+        assert len(roots) == 2
+        result = constrained_entropy_max(cw(j=j), {0: target})
+        assert result.multiplicity == 2
+        assert_allclose(result.maximizers, roots, rtol=1e-15, atol=0)
+        assert_allclose(result.entropy_value, max(etas), rtol=1e-14)
+
+    @pytest.mark.parametrize("kind, j, h", [
+        ("free_spins", 0.0, 0.0),
+        ("curie_weiss", 1.0, 1.0),
+        ("curie_weiss", -1.0, -0.3),
+        ("ising_chain", 1.0, -1.0),
+        ("ising_chain", 0.25, 0.5),
+    ])
+    def test_unit_couplings_keep_the_plain_tolerance(self, kind, j, h):
+        family = ErgodicFamily(ModelSpec(kind, J=j, h=h))
+        assert family.coefficient_scale == (1.0,) * family.n_components
+
+    def test_scale_follows_the_largest_coefficient(self):
+        assert cw(j=2e8, h=3.0).coefficient_scale == (1e8, 1.0)
+        family = ErgodicFamily(ModelSpec("ising_chain", J=0.5, h=-7.0))
+        assert family.coefficient_scale == (7.0, 1.0)

@@ -1,4 +1,8 @@
 import math
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,13 +26,18 @@ from thermolab import (
     site_pauli,
 )
 from oracles import spin_model_diagonals, thermal_two_point, transverse_ising_matrix
+import thermolab.kms as kms
+from thermolab.cli import run_experiment
 from thermolab.kms import (
+    FOLD_MEMO_SIZE,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _memo_cross,
     _residual_tables,
     default_quadrature_step,
     random_hermitian,
+    release_folds,
 )
 from thermolab.lattice import ObservableFamily, Translation
 
@@ -375,3 +384,103 @@ class TestQuadratureScale:
         with pytest.raises(QuadratureError):
             kms_smeared_residual(fam, [2.0, 0.0], a, a, GaussianTestFunction(2.0),
                                  step=1.9)
+
+
+def _count_folds(monkeypatch, delay: float = 0.0) -> list:
+    calls = []
+
+    def counting(*args, _fold=kms._folded_cross):
+        calls.append(args[-1])
+        time.sleep(delay)  # widen the window in which another thread could fold too
+        return _fold(*args)
+
+    monkeypatch.setattr(kms, "_folded_cross", counting)
+    return calls
+
+
+class TestFoldReuse:
+    """Each (family, A, B) is folded once; every theta and t reuses the fold."""
+
+    CONFIG = Path(__file__).resolve().parents[1] / "configs" / "kms_ising.cfg"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_kms_verify_folds_each_probe_pair_once(self, tmp_path, monkeypatch, threads):
+        calls = _count_folds(monkeypatch, delay=0.01)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # let the pool's threads interleave often
+        try:
+            manifest = run_experiment("kms-verify", self.CONFIG, tmp_path, threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
+        rows = {r["path"]: r["rows"] for r in manifest["artifacts"]}
+        assert rows["residuals.csv"] == 3 * 3 * 3  # thetas x times x probe pairs
+        assert len(calls) == 3  # (sx, sy), (sz, sx), (random, sx)
+        assert _memo_cross.cache_info().currsize == 0
+
+    def test_threads_share_each_fold(self, monkeypatch):
+        # more workers than cores, all asking for the same three folds at once
+        fam = ising(5, j=0.8, h=0.3)
+        probes = default_probes(fam, seed=5, times=[0.2, 1.7, 3.1])
+        thetas = [(0.5 + 0.1 * k, 0.2) for k in range(8)]
+
+        def rows(th):
+            return [kms_residual(fam, th, a, b, t) for a, b, t in probes]
+
+        release_folds()
+        serial = [rows(th) for th in thetas]
+        release_folds()
+        calls = _count_folds(monkeypatch, delay=0.005)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(rows, th) for th in thetas]
+                threaded = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+            release_folds()
+        assert len(calls) == 3
+        assert threaded == serial
+
+    def test_memo_residual_is_bitwise_a_fresh_fold(self):
+        fam = ising(5, j=0.8, h=0.3)
+        rng = np.random.default_rng(3)
+        a, b = random_hermitian(fam.dim, rng), site_pauli("x", 2, 5)
+        f = GaussianTestFunction(2.0)
+        release_folds()
+        fresh = [kms_residual(fam, [0.9, 0.2], a, b, 1.3),
+                 kms_smeared_residual(fam, [0.9, 0.2], a, b, f)]
+        hits = _memo_cross.cache_info().hits
+        kept = [kms_residual(fam, [0.9, 0.2], a, b, 1.3),
+                kms_smeared_residual(fam, [0.9, 0.2], a, b, f)]
+        assert _memo_cross.cache_info().hits == hits + 2
+        assert kept == fresh
+        release_folds()
+        assert _memo_cross.cache_info().currsize == 0
+
+    def test_memo_is_bounded_and_keyed_by_identity(self, monkeypatch):
+        fam = ising(3)
+        calls = _count_folds(monkeypatch)
+        release_folds()
+        a = site_pauli("x", 0, 3)
+        twin = TestOperator(a.matrix.copy(), a.label)  # equal entries, another probe
+        kms_residual(fam, [1.0, 0.0], a, a, 0.5)
+        kms_residual(fam, [1.0, 0.0], twin, twin, 0.5)
+        assert len(calls) == 2
+        for k in range(FOLD_MEMO_SIZE + 3):
+            b = site_pauli("z", k % 3, 3)
+            kms_residual(fam, [1.0, 0.0], a, b, 0.5)
+        assert _memo_cross.cache_info().currsize == FOLD_MEMO_SIZE
+        release_folds()
+
+    def test_probe_and_fold_are_read_only(self):
+        owner = PAULI_X.copy()
+        op = TestOperator(owner, "sx")
+        assert not op.matrix.flags.writeable
+        assert owner.flags.writeable
+        with pytest.raises(ValueError):
+            op.matrix[0, 0] = 2.0
+        fam = single_site_sz_family()
+        _, _, cross, _ = _residual_tables(fam, [1.0], op, op)
+        assert not cross.flags.writeable
+        release_folds()

@@ -307,3 +307,26 @@ class TestSpectralForm:
         gen = fam.control_generator([-0.7])
         vec = fam.level_view().basis
         assert_allclose((vec * gen) @ vec.T, -0.7 * fam.dense[0], atol=1e-12)
+
+
+class TestDenseGramWithoutEigensolve:
+    """A fresh dense family's Gram entry is sum H_ij^2 / dim, with no eigensolve."""
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_gram_and_audit_skip_the_spectrum(self, monkeypatch, boundary):
+        spec = ModelSpec("transverse_ising_chain", J=0.9, hx=0.7, boundary=boundary)
+        fam = build_model(spec, spec.region(6))
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counting(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _solve(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        gram = fam.gram_matrix()
+        report = verify_family(fam)
+        assert calls == []
+        assert report.gram_min_eigenvalue == gram[0, 0]
+        rows, log_mult = fam.levels()  # the level-table form, eigvalsh now runs
+        assert calls == ["eigvalsh"]
+        assert_allclose(gram, (rows * np.exp(log_mult)[:, None]).T @ rows / fam.dim,
+                        rtol=1e-13)
