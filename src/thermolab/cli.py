@@ -366,7 +366,7 @@ def _run_legendre(cfg: Config, writer: ArtifactWriter, threads: int):
 def _run_completeness(cfg: Config, writer: ArtifactWriter, threads: int):
     family = ErgodicFamily(_model_from_config(cfg))
     mode = cfg.get_str("constrain", "energy", choices=("energy", "joint"))
-    tol = cfg.get_float("tol", 1e-9)
+    tol = cfg.get_float("tol", 1e-9, positive=True)
     if mode == "energy":
         constraints = [{0: e} for e in cfg.get_floats("e_values", required=True)]
     else:
@@ -396,6 +396,7 @@ def _run_kms_verify(cfg: Config, writer: ArtifactWriter, threads: int):
     smeared_per_theta = cfg.get_int("smeared_probes", 1)
 
     probes = default_probes(family, seed, times)
+    family.level_view()  # built here, so the theta threads share one eigensolve
     theta_cols = [f"theta_{k}" for k in range(spec.n_observables)]
 
     def residual_rows(th):

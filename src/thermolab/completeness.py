@@ -9,14 +9,14 @@ constrained observables pin a unique phase (multiplicity 1) or leave a
 symmetry-related pair (multiplicity 2, the ferromagnet scenario below the
 critical energy).
 
-Every density component is a polynomial of degree <= 2 in m
-(``ErgodicFamily.component_coefficients``), so the roots of each constraint
-come from the stable quadratic formula. A joint constraint takes one
-component's roots (a linear one's, if constrained) and keeps those that meet
-every component, checked with plain-float closures
-(``ErgodicFamily.component_offset``), the same ones ``density_component``
-evaluates scalars with. A dense scan of the family remains for the
-attainable ranges and the variational pressure.
+Every density component is a polynomial a m^2 + b m + c, whose triple only
+``ErgodicFamily.component_coefficients`` knows; the densities, the attainable
+ranges (q at m = +-1 and at the vertex) and each constraint's roots (the
+stable quadratic formula) follow from it. A joint constraint keeps those
+roots of one component (a linear one, if constrained) that meet every other,
+checked with the plain-float closures of ``ErgodicFamily.component_offset``.
+The variational pressure sits at a root of the mean-field equation
+atanh(m) = s m + r, found by bisection.
 
 For the mean-field (complete graph) model this family is variationally exact
 in the large-volume limit; that restriction is recorded in every artifact
@@ -37,7 +37,6 @@ from .lattice import ModelSpec
 
 SCAN_RESOLUTION = 1e-5
 MERGE_RADIUS = 1e-6
-REFINE_TOL = 1e-10
 
 _SUPPORTED_KINDS = ("free_spins", "ising_chain", "curie_weiss")
 
@@ -64,7 +63,6 @@ class ErgodicFamily:
         self.model = model
         self._scan: tuple | None = None
         self._segments: dict | None = None
-        self._ranges: dict | None = None
         # max(1, |a|, |b|, |c|) per component: it scales the root tolerance,
         # and is exactly 1 for |J|, |h| <= 1
         self.coefficient_scale = tuple(max(1.0, *map(abs, self.component_coefficients(k)))
@@ -100,18 +98,11 @@ class ErgodicFamily:
             out[live] -= w[live] * np.log(w[live])
         return out
 
-    def _energy_coefficient(self) -> float:
-        return self.model.J if self.model.kind == "ising_chain" else self.model.J / 2.0
-
     def densities(self, m):
         """Observable densities q(m); shape (..., n_components)."""
         m = np.asarray(m, dtype=float)
-        spec = self.model
-        if spec.kind == "free_spins":
-            comps = [(1.0 - m) / 2.0]
-        else:
-            comps = [-self._energy_coefficient() * m**2 - spec.h * m, m]
-        return np.stack([np.asarray(c, dtype=float) for c in comps], axis=-1)
+        return np.stack([a * m**2 + b * m + c for a, b, c in
+                         map(self.component_coefficients, range(self.n_components))], axis=-1)
 
     def density_component(self, k: int, m):
         if np.ndim(m) == 0:
@@ -119,12 +110,12 @@ class ErgodicFamily:
         return self.densities(m)[..., k]
 
     def component_range(self, k: int) -> tuple[float, float]:
-        if self._ranges is None:
-            self._ranges = {}
-        if k not in self._ranges:
-            _, q, _ = self._scan_arrays()
-            self._ranges[k] = (float(q[:, k].min()), float(q[:, k].max()))
-        return self._ranges[k]
+        """(min, max) of q_k on [-1, 1]: at m = +-1, or at the vertex."""
+        a, b, _ = self.component_coefficients(k)
+        q = self.component_offset(k, 0.0)
+        xs = [-1.0, 1.0] + ([-b / (2.0 * a)] if a != 0.0 else [])
+        values = [q(x) for x in xs if -1.0 <= x <= 1.0]
+        return min(values), max(values)
 
     def _scan_arrays(self):
         if self._scan is None:
@@ -151,12 +142,14 @@ class ErgodicFamily:
         return self._segments[k]
 
     def component_coefficients(self, k: int) -> tuple[float, float, float]:
-        """(a, b, c) with q_k(m) = a m^2 + b m + c."""
+        """(a, b, c) with q_k(m) = a m^2 + b m + c. Zero coefficients are
+        -0.0, the additive identity: x + -0.0 is x, signed zeros included."""
         if self.model.kind == "free_spins":
-            return 0.0, -0.5, 0.5
+            return -0.0, -0.5, 0.5
         if k == 1:
-            return 0.0, 1.0, 0.0
-        return -self._energy_coefficient(), -self.model.h, 0.0
+            return -0.0, 1.0, -0.0
+        j = self.model.J if self.model.kind == "ising_chain" else self.model.J / 2.0
+        return -j, -self.model.h, -0.0
 
     def component_offset(self, k: int, target: float):
         """x -> q_k(x) - target on plain floats.
@@ -165,12 +158,8 @@ class ErgodicFamily:
         agree bit for bit; the feasibility and extremum checks of the root
         search call it directly and skip the per-call dispatch.
         """
-        if self.model.kind == "free_spins":
-            return lambda x: (1.0 - x) / 2.0 - target
-        if k == 1:
-            return lambda x: x - target
-        c, h = self._energy_coefficient(), self.model.h
-        return lambda x: -c * x * x - h * x - target
+        a, b, c = self.component_coefficients(k)
+        return lambda x: a * x * x + b * x + c - target
 
 
 @dataclass(frozen=True)
@@ -234,26 +223,6 @@ def normalize_constraint(family: ErgodicFamily, constraint) -> dict:
     return out
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(fn, a: float, b: float, xtol: float = REFINE_TOL) -> tuple[float, float]:
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    while b - a > xtol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fn(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fn(x1)
-    x = 0.5 * (a + b)
-    return x, fn(x)
-
-
 def _component_roots(family: ErgodicFamily, k: int, target: float, tol: float):
     """Roots of q_k(m) = target on [-1, 1], or None for an unconstraining
     component (q_k equal to target everywhere within tol).
@@ -304,8 +273,8 @@ def constrained_entropy_max(family: ErgodicFamily, constraint, tol: float = 1e-9
     and the interval endpoints. Raises InfeasibleConstraintError (listing the
     reachable ranges) when no polarization meets the constraint.
     """
-    if tol <= 0:
-        raise UsageError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise UsageError(f"tol must be positive and finite, got {tol}")
     cons = normalize_constraint(family, constraint)
 
     root_sets = {k: _component_roots(family, k, v, tol) for k, v in cons.items()}
@@ -341,19 +310,17 @@ def constrained_entropy_max(family: ErgodicFamily, constraint, tol: float = 1e-9
 
 
 def _continuum_maximum(family: ErgodicFamily, cons: dict, tol: float) -> MaximizerSet:
-    """Unconstrained-in-practice case: every component is flat at its target."""
+    """Unconstrained-in-practice case: every component is flat at its target.
+    eta is largest at m = 0; the scan only checks for a flat optimum."""
+    best = float(family.entropy(0.0))
     m, _, eta = family._scan_arrays()
-    i = int(np.argmax(eta))
-    lo = max(-1.0, float(m[i]) - (m[1] - m[0]))
-    hi = min(1.0, float(m[i]) + (m[1] - m[0]))
-    x, best = _golden_max(lambda y: float(family.entropy(y)), lo, hi)
     near = np.nonzero(eta >= best - tol)[0]
     width = float(m[near[-1]] - m[near[0]]) if len(near) else 0.0
     spread = float(eta[near].max() - eta[near].min()) if len(near) else 0.0
     if width > 1000.0 * MERGE_RADIUS and spread <= tol:
         endpoints = (float(m[near[0]]), float(m[near[-1]]))
         return MaximizerSet(cons, best, endpoints, math.inf, endpoints)
-    return MaximizerSet(cons, best, (x,), 1)
+    return MaximizerSet(cons, best, (0.0,), 1)
 
 
 def completeness_verdict(family: ErgodicFamily, constraints, tol: float = 1e-9) -> CompletenessReport:
@@ -413,21 +380,44 @@ def family_curve_constraints(family: ErgodicFamily, m_values) -> list[dict]:
     return [dict(enumerate(row)) for row in q.tolist()]
 
 
+def _upper_root(s: float, r: float) -> float | None:
+    """The largest float m in [c, 1) with g(m) = atanh(m) - s m - r <= 0, or
+    None if g(c) > 0. g increases there: c = sqrt(1 - 1/s) for s > 1, else 0."""
+    c = min(math.sqrt(1.0 - 1.0 / s), math.nextafter(1.0, 0.0)) if s > 1.0 else 0.0
+    g = lambda m: math.atanh(m) - s * m - r
+    g_c = g(c)
+    if g_c >= 0.0:
+        return c if g_c == 0.0 else None
+    lo, hi = c, 1.0
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:  # bisect down to adjacent floats
+        lo, hi = (mid, hi) if g(mid) <= 0.0 else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return lo
+
+
 def mean_field_pressure(family: ErgodicFamily, theta) -> float:
     """max_m (eta(m) - theta . q(m)): the family's variational pressure.
 
-    Dense scan plus golden-section refinement; for the complete-graph model
-    this equals the infinite-volume pressure.
+    With q_k = a_k m^2 + b_k m + c_k, the maximizer solves the mean-field
+    equation atanh(m) = s m + r (m = tanh(s m + r)), s = -2 theta . a,
+    r = -theta . b. It lies where atanh(m) - s m - r increases: on [c, 1)
+    (``_upper_root``) or on its mirror under (m, r) -> (-m, -r). For the
+    complete-graph model this equals the infinite-volume pressure.
     """
-    th = as_components(theta, family.n_components)
-    m, q, eta = family._scan_arrays()
-    obj = eta - q @ th
-    i = int(np.argmax(obj))
-    step = m[1] - m[0]
-    lo, hi = max(-1.0, float(m[i]) - step), min(1.0, float(m[i]) + step)
-    fn = lambda x: float(family.entropy(x) - family.densities(x) @ th)
-    _, best = _golden_max(fn, lo, hi)
-    return max(best, float(obj[i]))
+    th = as_components(theta, family.n_components).tolist()
+    triples = [family.component_coefficients(k) for k in range(family.n_components)]
+    s = -2.0 * sum(t * a for t, (a, _, _) in zip(th, triples))
+    r = -sum(t * b for t, (_, b, _) in zip(th, triples))
+    best = -math.inf
+    for sign in (1.0, -1.0):
+        m = _upper_root(s, sign * r)
+        if m is not None:
+            m *= sign
+            # eta is even; eta(|m|) keeps the mirror symmetry exact
+            best = max(best, family.entropy(abs(m)) - sum(
+                t * family.density_component(k, m) for k, t in enumerate(th)))
+    return best
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,9 @@ EIG_FLOOR = 1e-15
 # Support threshold for relative entropy: sigma-eigenvalues at or below it
 # count as null directions.
 SUPPORT_EPS = 1e-12
-# Families kept by pressure_limit's memo. Under DIMENSION_CAP a sweep has at
-# most 14 sizes, so one sweep's families all stay in it.
+# Families kept by pressure_limit's memo. At the default DIMENSION_CAP a sweep
+# has at most 14 sizes, so one sweep's families all stay in it; with a larger
+# cap, a sweep of over 16 sizes evicts them and rebuilds every size per theta.
 FAMILY_MEMO_SIZE = 16
 
 

@@ -348,7 +348,9 @@ def kms_theta_discrimination(family: ObservableFamily, theta_1, theta_2,
 
 
 def default_probes(family: ObservableFamily, seed: int, times) -> list:
-    """Site-0 Pauli probes plus one seeded random hermitian, at each time."""
+    """Site-0 Pauli probes plus one seeded random hermitian, at each time.
+    Past the residuals' dimension cap, ResourceError before any probe is built."""
+    _check_dims(family)
     n = family.region.size
     rng = np.random.default_rng(seed)
     rand = random_hermitian(family.dim, rng, label=f"random#{seed}")

@@ -181,6 +181,56 @@ def product_state_roots(kind, j, h, k, target):
     return roots, [binary_entropy((1.0 + m) / 2.0) for m in roots]
 
 
+def mean_field_pressure_bounds(kind, j, h, theta, points=2_000_001):
+    """(at_roots, on_scan) for sup over m in [-1, 1] of eta(m) - theta . q(m).
+
+    q(m) is (1 - m)/2 for free spins, and (e(m), m) otherwise, with
+    e = -J m^2 - h m (Ising chain) or -(J/2) m^2 - h m (Curie-Weiss).
+    Stationary points solve m = tanh(s m + r), s = -2 theta . (m^2 terms),
+    r = -theta . (m terms). ``at_roots`` is the best value at m = +-1 and at
+    every root of m - tanh(s m + r), each bracketed by a sign change on the
+    ``points``-point grid and bisected to adjacent floats. ``on_scan`` is
+    the best value on that grid, a lower bound for the supremum.
+    """
+    theta = [float(t) for t in theta]
+    if kind == "free_spins":
+        terms = [(0.0, -0.5, 0.5)]
+    else:
+        a = -j if kind == "ising_chain" else -j / 2.0
+        terms = [(a, -h, 0.0), (0.0, 1.0, 0.0)]
+    qa, qb, qc = (sum(t * term[i] for t, term in zip(theta, terms)) for i in range(3))
+    s, r = -2.0 * qa, -qb
+
+    def objective(m):
+        m = np.asarray(m, dtype=float)
+        eta = 0.0
+        for w in ((1.0 + m) / 2.0, (1.0 - m) / 2.0):  # w ln w -> 0 at w = 0
+            eta = eta - w * np.log(np.where(w > 0.0, w, 1.0))
+        return eta - (qa * m * m + qb * m + qc)
+
+    def f(m):
+        return m - np.tanh(s * m + r)
+
+    on_scan, brackets = -np.inf, []
+    edges = np.linspace(-1.0, 1.0, 11)
+    for k in range(10):  # ten slices keep the arrays small
+        grid = np.linspace(edges[k], edges[k + 1], (points - 1) // 10 + 1)
+        on_scan = max(on_scan, float(np.max(objective(grid))))
+        neg = f(grid) < 0.0
+        for i in np.nonzero(neg[:-1] != neg[1:])[0]:
+            brackets.append((float(grid[i]), float(grid[i + 1]), bool(neg[i])))
+    candidates = [-1.0, 1.0]
+    for lo, hi, rising in brackets:
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if (float(f(mid)) < 0.0) == rising:
+                lo = mid
+            else:
+                hi = mid
+        candidates += [lo, hi]
+    return max(float(objective(m)) for m in candidates), on_scan
+
+
 def upper_concave_envelope(grid, values):
     """Concave envelope of 1-d samples, by direct upper-hull construction."""
     pts = list(zip(np.asarray(grid, dtype=float), np.asarray(values, dtype=float)))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -508,3 +509,50 @@ class TestKmsVerifyThreads:
                 sys.setswitchinterval(interval)
         for name in ("residuals.csv", "smeared.csv"):
             assert body_lines(tmp_path / "t1" / name) == body_lines(tmp_path / "t2" / name)
+
+
+class TestCompletenessTol:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tol_must_be_positive_and_finite(self, tmp_path, capsys, tol):
+        path = write_config(tmp_path, "model = curie_weiss\nJ = 1.0\n"
+                            f"constrain = energy\ne_values = -0.3\ntol = {tol}\n")
+        with pytest.raises(ConfigError) as exc:
+            run_experiment("completeness", path, tmp_path / "out")
+        assert exc.value.key == "tol"
+        code = main(["completeness", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "'tol'" in capsys.readouterr().err
+
+
+class TestKmsVerifyResources:
+    def test_oversized_run_refused_before_any_probe(self, tmp_path, monkeypatch, capsys):
+        import thermolab.kms as kms
+
+        built = []
+        monkeypatch.setattr(kms, "random_hermitian", lambda *a, **k: built.append(a))
+        path = write_config(tmp_path, "model = ising_chain\nJ = 1.0\nh = 0.0\nN = 11\n"
+                            "theta0 = 1.0\ntimes = 0.3\n")
+        code = main(["kms-verify", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "capped" in capsys.readouterr().err
+        assert built == []
+
+    def test_threads_share_one_eigensolve(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, _solve=np.linalg.eigh, **kwargs):
+            calls.append(1)
+            time.sleep(0.01)  # a second thread would reach the view meanwhile
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        path = write_config(tmp_path, "model = transverse_ising_chain\nJ = 1.0\nhx = 0.6\n"
+                            "boundary = open\nN = 8\ntheta0 = 0.5, 1.0, 1.5, 2.0\n"
+                            "times = 0.3\nsigma_w = 0\n")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_experiment("kms-verify", path, tmp_path / "out", threads=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 1

@@ -10,6 +10,7 @@ from oracles import (
     free_spin_pressure,
     looped_monotone_segments,
     mean_field_fixed_point,
+    mean_field_pressure_bounds,
     product_state_roots,
 )
 from thermolab import (
@@ -403,3 +404,107 @@ class TestLargeCouplings:
         assert cw(j=2e8, h=3.0).coefficient_scale == (1e8, 1.0)
         family = ErgodicFamily(ModelSpec("ising_chain", J=0.5, h=-7.0))
         assert family.coefficient_scale == (7.0, 1.0)
+
+
+class TestScanFreeSolves:
+    """Roots, ranges and pressures come from the coefficient triples alone."""
+
+    @pytest.mark.parametrize("spec", SEGMENT_SPECS, ids=lambda s: f"{s.kind}-J{s.J}-h{s.h}")
+    def test_no_scan_is_built(self, spec):
+        family = ErgodicFamily(spec)
+        inside = family.densities(0.3).tolist()
+        constrained_entropy_max(family, {0: inside[0]})
+        constrained_entropy_max(family, dict(enumerate(inside)))
+        with pytest.raises(InfeasibleConstraintError):
+            constrained_entropy_max(family, {0: family.component_range(0)[1] + 1.0})
+        completeness_verdict(family, family_curve_constraints(family, [-0.4, 0.1, 0.6]))
+        theta = [1.7] + [0.2] * (family.n_components - 1)
+        mean_field_pressure(family, theta)
+        pressure_slope_gap(family, theta, component=family.n_components - 1)
+        assert family._scan is None
+
+    @pytest.mark.parametrize("spec", SEGMENT_SPECS, ids=lambda s: f"{s.kind}-J{s.J}-h{s.h}")
+    def test_ranges_bound_the_densities(self, spec):
+        family = ErgodicFamily(spec)
+        q = family.densities(np.linspace(-1.0, 1.0, 20001))
+        for k in range(family.n_components):
+            lo, hi = family.component_range(k)
+            assert lo <= q[:, k].min() and q[:, k].max() <= hi
+            assert_allclose([lo, hi], [q[:, k].min(), q[:, k].max()], rtol=0, atol=1e-8)
+
+    def test_zero_energy_keeps_its_sign(self):
+        # -0.0 coefficients add nothing, so e(0) stays -J*0 - h*0 = -0.0
+        q = cw().densities([0.0])
+        assert math.copysign(1.0, q[0, 0]) == -1.0
+        assert math.copysign(1.0, q[0, 1]) == 1.0
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_tol_must_be_finite(self, tol):
+        with pytest.raises(UsageError):
+            constrained_entropy_max(cw(), {0: -0.1}, tol=tol)
+
+
+class TestKinkMirror:
+    """At h = 0 and theta_1 = 0 the one-sided slopes are exact mirrors."""
+
+    @pytest.mark.parametrize("theta0", [0.5, 1.0, 1.0001, 2.0, 3.0, 4.7])
+    @pytest.mark.parametrize("kind", ["curie_weiss", "ising_chain"])
+    def test_left_slope_mirrors_right(self, kind, theta0):
+        family = ErgodicFamily(ModelSpec(kind, J=1.0, h=0.0))
+        gap = pressure_slope_gap(family, [theta0, 0.0])
+        assert gap.left == -gap.right
+
+    def test_shipped_diff_test_config(self):
+        cfg = Config.load(Path(__file__).resolve().parents[1] / "configs"
+                          / "diff_test_curie_weiss.cfg")
+        family = ErgodicFamily(ModelSpec("curie_weiss", J=cfg.get_float("J"),
+                                         h=cfg.get_float("h")))
+        gap = pressure_slope_gap(family, [cfg.get_float("theta0"), 0.0])
+        assert gap.left == -gap.right
+        assert_allclose(gap.right, mean_field_fixed_point(3.0), atol=1e-3)
+
+
+def _oracle_cases():
+    """(kind, J, h, theta): random draws with J, h in [-3, 3] and theta in
+    [-5, 5]^k; a third with s within 1e-6 of 1, a third with a root so near
+    +-1 that tanh(s m + r) rounds to it."""
+    rng = np.random.default_rng(20240)
+    cases = []
+    for i in range(24):
+        kind = ("free_spins", "ising_chain", "curie_weiss")[i % 3]
+        j, h = (float(x) for x in rng.uniform(-3.0, 3.0, 2))
+        theta = rng.uniform(-5.0, 5.0, 1 if kind == "free_spins" else 2)
+        if i % 9 in (1, 2):  # s = 2 theta_0 J on the chain, theta_0 J on the complete graph
+            theta[0] = (1.0 + rng.uniform(-1e-6, 1e-6)) / ((2.0 if kind == "ising_chain" else 1.0) * j)
+        elif i % 9 in (4, 5):  # r = theta_0 h - theta_1 of 15 or more
+            sign = float(rng.choice([-1.0, 1.0]))
+            h = sign * float(rng.uniform(2.0, 3.0))
+            theta[:] = [5.0, -5.0 * sign]
+        elif kind == "free_spins" and i % 9 == 6:
+            theta[0] = 5.0 * float(rng.choice([-1.0, 1.0]))
+        cases.append((kind, j, h, theta.tolist()))
+    return cases
+
+
+class TestMeanFieldPressureOracle:
+    """The pressure equals the best mean-field root of an independent
+    bisection, and never falls below a 2,000,001-point scan."""
+
+    @pytest.mark.parametrize("case", _oracle_cases(),
+                             ids=lambda c: f"{c[0]}-J{c[1]:.3g}-h{c[2]:.3g}")
+    def test_matches_oracle(self, case):
+        kind, j, h, theta = case
+        got = mean_field_pressure(ErgodicFamily(ModelSpec(kind, J=j, h=h)), theta)
+        at_roots, on_scan = mean_field_pressure_bounds(kind, j, h, theta)
+        scale = max(1.0, abs(at_roots))
+        assert got >= on_scan - 1e-14 * scale
+        assert abs(got - at_roots) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("theta", [[1e17, 0.0], [1e17, 3.0], [-1e17, 0.5], [3.0, 1e300]])
+    def test_roots_past_the_last_float_below_one(self, theta):
+        # for s > 4.5e15, sqrt(1 - 1/s) rounds to 1: the increasing piece
+        # holds no float, and the maximum sits at m = +-1 to rounding
+        got = mean_field_pressure(cw(), theta)
+        m = np.array([-1.0, 1.0, 0.0])
+        expected = np.max(cw().entropy(m) - cw().densities(m) @ np.asarray(theta))
+        assert_allclose(got, expected, rtol=1e-15, atol=0)
