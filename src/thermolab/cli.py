@@ -279,6 +279,14 @@ def _pool_map(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
+def _chunks(items: list, parts: int) -> list[list]:
+    """items cut into at most ``parts`` contiguous runs, in order, whose
+    lengths differ by at most one; none when items is empty."""
+    count = len(items)
+    parts = min(max(parts, 1), count)
+    return [items[count * k // parts:count * (k + 1) // parts] for k in range(parts)]
+
+
 def _theta_grid(cfg: Config, n_components: int) -> list[tuple]:
     theta0 = cfg.get_floats("theta0", required=True)
     if n_components == 1:
@@ -296,13 +304,16 @@ def _run_pressure(cfg: Config, writer: ArtifactWriter, threads: int):
     fit = cfg.get_str("fit", "affine", choices=("affine", "geometric"))
     thetas = _theta_grid(cfg, spec.n_observables)
 
-    # a run keeps its families for its own thetas only, so every run pays
-    # for (and its trace shows) the builds it needs
+    # one stacked pressure_limit call per thread's contiguous chunk of the
+    # grid; the chunks share each size's family through the memo. A run keeps
+    # its families for its own thetas only, so every run pays for (and its
+    # trace shows) the builds it needs
     try:
-        estimates = _pool_map(lambda th: pressure_limit(spec, th, sizes, fit=fit),
-                              thetas, threads)
+        chunks = _pool_map(lambda rows: pressure_limit(spec, rows, sizes, fit=fit),
+                           _chunks(thetas, threads), threads)
     finally:
         release_families()
+    estimates = [est for chunk in chunks for est in chunk]
     columns = [f"theta_{k}" for k in range(spec.n_observables)]
     columns += ["N", "phi_N", "value", "extrapolation_error"]
     rows = []
@@ -444,6 +455,11 @@ def _run_diff_test(cfg: Config, writer: ArtifactWriter, threads: int):
     step = cfg.get_float("kink_step", 1e-4, positive=True)
     spacing = cfg.get_float("m_spacing", 1e-3, positive=True)
     m_max = cfg.get_float("m_max", 0.97)
+    theta1_values = cfg.get_floats("theta1_values", None)
+    if theta1_values and family.n_components == 1:
+        raise ConfigError(f"model {family.model.kind} has one control component, "
+                          "so there is no theta_1 to scan",
+                          key="theta1_values", line=cfg._line("theta1_values"))
 
     # smoothness of the entropy surface along the family curve; the sweep is
     # padded two steps so every reported point has full two-interval stencils
@@ -484,7 +500,6 @@ def _run_diff_test(cfg: Config, writer: ArtifactWriter, threads: int):
         [(theta0, gap.component, gap.step, gap.left, gap.right, gap.gap)],
     )
 
-    theta1_values = cfg.get_floats("theta1_values", None)
     if theta1_values:
         def scan_phi(t1):
             return mean_field_pressure(family, [theta0] + [0.0] * (family.n_components - 2) + [t1])

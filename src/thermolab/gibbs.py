@@ -10,9 +10,13 @@ Pressures are sums over levels, not states: ``finite_pressure`` reads the
 family's joint level table (distinct eigenvalue rows with multiplicities,
 see ``ObservableFamily.levels``), which the built-in Ising and Curie-Weiss
 families shrink from 2^N states to O(N^2) rows. A family does not depend on
-theta, so ``pressure_limit`` takes each size's family from a small memo
-and a sweep over many thetas builds each size once; ``release_families``
-empties the memo when a sweep ends.
+theta, so a theta grid is one unit of work: ``finite_pressure`` and
+``pressure_limit`` take a (G, k) stack of control vectors as well as a
+single one (the one-row case), a stacked ``finite_pressure`` is one
+log-sum-exp over a (G, levels) exponent table, and a stacked
+``pressure_limit`` reads each size's family once. Families come from a
+small memo, so the chunks of a threaded sweep share one build per size;
+``release_families`` empties the memo when a sweep ends.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import as_components
-from .errors import NumericRangeError, UsageError
+from .convex import ControlVector, as_components
+from .errors import DataError, NumericRangeError, UsageError
 from .lattice import DIMENSION_CAP, ModelSpec, ObservableFamily, build_model
 
 # Eigenvalues below this contribute zero to x ln x sums (continuity at 0).
@@ -33,9 +37,11 @@ EIG_FLOOR = 1e-15
 # Support threshold for relative entropy: sigma-eigenvalues at or below it
 # count as null directions.
 SUPPORT_EPS = 1e-12
-# Families kept by pressure_limit's memo. At the default DIMENSION_CAP a sweep
-# has at most 14 sizes, so one sweep's families all stay in it; with a larger
-# cap, a sweep of over 16 sizes evicts them and rebuilds every size per theta.
+# Families kept by pressure_limit's memo. A stacked call reads each size once;
+# the memo lets the chunks of a threaded sweep, one call each, share one build
+# per size. At the default DIMENSION_CAP a sweep has at most 14 sizes, so all
+# of its families stay in it; with a larger cap, a sweep of over 16 sizes
+# evicts them and every chunk rebuilds every size.
 FAMILY_MEMO_SIZE = 16
 
 
@@ -177,17 +183,49 @@ def relative_entropy(rho: DensityState, sigma: DensityState) -> float:
     return entropy_term - cross
 
 
-def finite_pressure(family: ObservableFamily, theta) -> float:
+def _theta_stack(theta, n: int) -> tuple[np.ndarray, bool]:
+    """Control vectors as a (G, n) stack, and whether theta was a single one.
+
+    A two-dimensional theta is a stack of G >= 1 rows of n finite entries;
+    anything else is one control vector (see ``as_components``), returned
+    as a one-row stack.
+    """
+    stack = None if isinstance(theta, ControlVector) else np.asarray(theta, dtype=float)
+    if stack is None or stack.ndim < 2:
+        return as_components(theta, n)[None, :], True
+    if stack.ndim != 2 or stack.shape[0] == 0 or stack.shape[1] != n:
+        raise UsageError(f"expected a (G, {n}) stack of control vectors with G >= 1, "
+                         f"got shape {stack.shape}")
+    if not np.all(np.isfinite(stack)):
+        raise DataError("non-finite control vector")
+    return stack, False
+
+
+def finite_pressure(family: ObservableFamily, theta) -> float | np.ndarray:
     """phi_N = N^-1 ln Tr exp(-theta.Q), summed over the family's joint levels.
 
     One log-sum-exp of ln(multiplicity) - theta.level, shifted by its largest
-    term for overflow safety.
+    term for overflow safety. A single control vector gives a float; a
+    (G, k) stack of them gives the G pressures as an array, each with the
+    bits of its own single-vector call: theta.Q is a stacked matrix-vector
+    product (the bits of ``levels @ theta``, which a matrix-matrix product
+    does not keep), and each row is reduced on its own. The call holds a
+    (G, levels) table. Raises NumericRangeError, naming the theta, when a
+    row's largest term is not finite (theta.Q left the floating-point range).
     """
-    th = as_components(theta, family.n_observables)
+    stack, single = _theta_stack(theta, family.n_observables)
     levels, log_mult = family.levels()
-    exponent = log_mult - levels @ th
-    top = float(exponent.max())
-    return (float(np.log(np.exp(exponent - top).sum())) + top) / family.region.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = log_mult - np.matmul(levels[None], stack[:, :, None])[..., 0]
+        top = exponent.max(axis=1)
+    bad = ~np.isfinite(top)
+    if bad.any():
+        th = tuple(float(x) for x in stack[np.argmax(bad)])
+        raise NumericRangeError(f"theta.Q overflows at theta = {th} on "
+                                f"{family.region.size} sites: the pressure is out "
+                                "of floating-point range")
+    phis = (np.log(np.exp(exponent - top[:, None]).sum(axis=1)) + top) / family.region.size
+    return float(phis[0]) if single else phis
 
 
 def expectation_vector(rho: DensityState, family: ObservableFamily) -> np.ndarray:
@@ -285,7 +323,7 @@ def release_families() -> None:
 
 
 def pressure_limit(spec: ModelSpec, theta, sizes, fit: str = "affine",
-                   cap: int = DIMENSION_CAP) -> PressureEstimate:
+                   cap: int = DIMENSION_CAP) -> PressureEstimate | list[PressureEstimate]:
     """Extrapolate phi_N to the infinite-volume pressure.
 
     fit="affine": least-squares affine fit in 1/N (surface-over-volume
@@ -303,9 +341,13 @@ def pressure_limit(spec: ModelSpec, theta, sizes, fit: str = "affine",
     unit size, and never less than the roundoff of N*phi_N at the largest
     size, amplified by the two-mode fit's conditioning 1/(1 - l2/l1)^2.
 
-    Sizes must be strictly increasing with at least 3 entries. Each size's
-    family is built once and kept for later calls (see ``FAMILY_MEMO_SIZE``
-    and ``release_families``).
+    Sizes must be strictly increasing with at least 3 entries. A single
+    control vector gives one PressureEstimate; a (G, k) stack gives a list
+    of G, each equal to its own single-vector call. Inputs are checked once
+    per call, and each size's family is read once, by one stacked
+    ``finite_pressure``; the fit then runs row by row. Families are built
+    once and kept for later calls (see ``FAMILY_MEMO_SIZE`` and
+    ``release_families``).
     """
     sizes = [int(n) for n in sizes]
     if len(sizes) < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -322,19 +364,30 @@ def pressure_limit(spec: ModelSpec, theta, sizes, fit: str = "affine",
                              f"and free_spins, not {spec.kind}{chain}")
         if not np.allclose(steps, steps[0]):
             raise UsageError("geometric fit needs uniformly spaced sizes")
-    th = as_components(theta)
-    phis = np.array([finite_pressure(_family(spec, n, cap), th) for n in sizes])
-    per_size = tuple((n, float(p)) for n, p in zip(sizes, phis))
-
+    stack, single = _theta_stack(theta, spec.n_observables)
+    # (G, sizes): row g holds phi_N of every size at theta g
+    table = np.stack([finite_pressure(_family(spec, n, cap), stack) for n in sizes], axis=1)
     if fit == "affine":
         design = np.stack([np.ones_like(narr), 1.0 / narr], axis=1)
-        coef, *_ = np.linalg.lstsq(design, phis, rcond=None)
-        value = float(coef[0])
-        resid = float(np.max(np.abs(design @ coef - phis)))
-        err = max(resid, abs(float(phis[-1]) - value))
-        return PressureEstimate(value, per_size, err, fit)
+        estimates = [_affine_estimate(sizes, design, phis) for phis in table]
+    else:
+        estimates = [_geometric_estimate(sizes, narr, float(steps[0]), phis)
+                     for phis in table]
+    return estimates[0] if single else estimates
 
-    step = float(steps[0])
+
+def _affine_estimate(sizes: list, design: np.ndarray, phis: np.ndarray) -> PressureEstimate:
+    per_size = tuple((n, float(p)) for n, p in zip(sizes, phis))
+    coef, *_ = np.linalg.lstsq(design, phis, rcond=None)
+    value = float(coef[0])
+    resid = float(np.max(np.abs(design @ coef - phis)))
+    err = max(resid, abs(float(phis[-1]) - value))
+    return PressureEstimate(value, per_size, err, "affine")
+
+
+def _geometric_estimate(sizes: list, narr: np.ndarray, step: float,
+                        phis: np.ndarray) -> PressureEstimate:
+    per_size = tuple((n, float(p)) for n, p in zip(sizes, phis))
     fitted = _two_mode_value(narr, phis, step)
     if fitted is None:
         raise NumericRangeError("the two-mode fit found no positive dominant root")
@@ -345,7 +398,7 @@ def pressure_limit(spec: ModelSpec, theta, sizes, fit: str = "affine",
     if tail is not None:
         err = min(err, abs(value - tail[0]))
     floor = _roundoff_floor(narr, value, ratio)
-    return PressureEstimate(value, per_size, max(err, floor), fit)
+    return PressureEstimate(value, per_size, max(err, floor), "geometric")
 
 
 def random_density_state(dim: int, rng: np.random.Generator) -> DensityState:

@@ -201,11 +201,24 @@ class ObservableFamily:
         bitwise-equal floats, and the basis is the product basis (None). The
         dense family has one level per eigenvalue; its eigenvectors are
         computed only when ``vectors`` is set, the basis is None otherwise.
+
+        Grouping is a stable lexicographic sort of the states (first
+        observable first) with a level break wherever neighbours differ:
+        ``np.unique(..., axis=0)``'s rows, counts and index without its sort
+        of structured rows. A level takes the values of its lowest state.
         """
         if self.is_diagonal:
-            rows, index, counts = np.unique(np.stack(self.diagonals, axis=1), axis=0,
-                                            return_inverse=True, return_counts=True)
-            return rows, np.log(counts), index.reshape(-1), None
+            order = np.lexsort(self.diagonals[::-1])
+            columns = [d[order] for d in self.diagonals]
+            breaks = np.zeros(self.dim, dtype=bool)
+            breaks[0] = True
+            for column in columns:
+                breaks[1:] |= column[1:] != column[:-1]
+            starts = np.flatnonzero(breaks)
+            index = np.empty(self.dim, dtype=np.intp)
+            index[order] = np.cumsum(breaks) - 1
+            rows = np.stack([column[starts] for column in columns], axis=1)
+            return rows, np.log(np.diff(starts, append=self.dim)), index, None
         if vectors:
             lam, vec = np.linalg.eigh(self.dense[0])
         else:

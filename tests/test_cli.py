@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import free_spin_pressure, ising_log_lambda_plus, mean_field_fixed_point
+import thermolab.cli as cli
 import thermolab.gibbs as gibbs
-from thermolab import ConfigError, CurveSamples, UsageError
-from thermolab.cli import Config, _parse_number_list, main, run_experiment
+from thermolab import ConfigError, CurveSamples, NumericRangeError, UsageError
+from thermolab.cli import Config, _chunks, _parse_number_list, main, run_experiment
 
 LN2 = math.log(2.0)
 
@@ -556,3 +558,79 @@ class TestKmsVerifyResources:
         finally:
             sys.setswitchinterval(interval)
         assert len(calls) == 1
+
+
+class TestPressureGridChunks:
+    """A pressure sweep is one stacked pressure_limit call per thread's chunk."""
+
+    @pytest.mark.parametrize("count, parts", [(0, 3), (1, 3), (7, 1), (7, 2), (7, 3),
+                                              (7, 7), (7, 9), (12, 5)])
+    def test_chunks_are_contiguous_and_even(self, count, parts):
+        items = list(range(count))
+        chunks = _chunks(items, parts)
+        lengths = [len(chunk) for chunk in chunks]
+        assert [x for chunk in chunks for x in chunk] == items
+        assert len(chunks) == min(parts, count)
+        assert all(lengths) and max(lengths, default=0) - min(lengths, default=0) <= 1
+
+    def test_uneven_chunks_write_the_same_bytes(self, tmp_path, monkeypatch):
+        calls = []
+        reference = cli.pressure_limit
+
+        def counting(spec, theta, *args, **kwargs):
+            calls.append(len(theta))
+            return reference(spec, theta, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "pressure_limit", counting)
+        path = write_config(tmp_path, """
+        model = ising_chain
+        J = 1.0
+        h = 0.4
+        theta0 = 0.3, 0.7, 1.1, 1.6, 2.2
+        theta1 = -0.5, 0.0, 0.8
+        sizes = 4:12
+        fit = geometric
+        """)
+        bodies = []
+        for threads in (1, 2, 3, 4):
+            calls.clear()
+            run_experiment("pressure", path, tmp_path / f"t{threads}", threads=threads)
+            assert len(calls) == threads and sum(calls) == 15
+            bodies.append(body_lines(tmp_path / f"t{threads}" / "pressure.csv"))
+        assert all(body == bodies[0] for body in bodies[1:])
+
+
+class TestPressureOverflow:
+    CONFIG = """
+    model = ising_chain
+    J = 1
+    h = 0.3
+    theta0 = 1e308
+    theta1 = 0
+    sizes = 4,5,6
+    """
+
+    def test_overflowing_theta_exits_2_without_warnings(self, tmp_path, capsys):
+        path = write_config(tmp_path, self.CONFIG)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericRangeError, match=r"1e\+308"):
+                run_experiment("pressure", path, tmp_path / "out")
+            code = main(["pressure", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "theta = (1e+308, 0.0)" in err and "Warning" not in err
+        assert not (tmp_path / "out" / "pressure.csv").exists()
+
+
+class TestDiffTestSingleComponentScan:
+    def test_free_spins_theta1_values_is_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, "model = free_spins\ntheta0 = 1.5\n"
+                                      "theta1_values = -2:2:0.1\n")
+        with pytest.raises(ConfigError) as exc:
+            run_experiment("diff-test", path, tmp_path / "out")
+        assert exc.value.key == "theta1_values" and exc.value.line == 3
+        code = main(["diff-test", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'theta1_values', line 3" in err

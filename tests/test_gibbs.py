@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from oracles import (
     two_level_gibbs,
 )
 from thermolab import (
+    ControlVector,
+    DataError,
     DensityState,
     ModelSpec,
     NumericRangeError,
@@ -530,3 +534,154 @@ class TestStatesFromTheLevelView:
             assert_allclose(expectation_vector(rho, fam), direct, atol=1e-12)
         with pytest.raises(UsageError):
             expectation_vector(maximally_mixed(8), fam)
+
+
+def _single_theta_pressure(family, theta):
+    """phi_N of one theta by the single-vector formula: a matrix-vector
+    theta.Q and a one-dimensional sum."""
+    levels, log_mult = family.levels()
+    exponent = log_mult - levels @ np.asarray(theta, dtype=float)
+    top = float(exponent.max())
+    return (float(np.log(np.exp(exponent - top).sum())) + top) / family.region.size
+
+
+STACK_SPECS = [
+    ModelSpec("free_spins"),
+    ModelSpec("ising_chain", J=0.9, h=0.35),
+    ModelSpec("ising_chain", J=-0.7, h=0.0, boundary="open"),
+    ModelSpec("curie_weiss", J=1.2, h=0.1),
+    ModelSpec("transverse_ising_chain", J=1.0, hx=0.6),
+    ModelSpec("transverse_ising_chain", J=0.8, hx=0.7, boundary="open"),
+]
+
+
+def _spec_id(spec):
+    return f"{spec.kind}-{spec.boundary}"
+
+
+class TestStackedFinitePressure:
+    """A (G, k) theta stack gives, bit for bit, the G single-theta pressures."""
+
+    @pytest.mark.parametrize("spec", STACK_SPECS, ids=_spec_id)
+    def test_rows_match_the_single_theta_formula(self, spec):
+        dense = spec.kind == "transverse_ising_chain"
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 5, 8) if dense else (1, 2, 5, 9, 12):
+            fam = build_model(spec, spec.region(n))
+            stack = rng.uniform(-2.5, 2.5, size=(37, spec.n_observables))
+            got = finite_pressure(fam, stack)
+            expected = np.array([_single_theta_pressure(fam, th) for th in stack])
+            assert got.shape == (37,)
+            assert np.array_equal(got, expected)
+            assert [finite_pressure(fam, th) for th in stack] == expected.tolist()
+
+    def test_bench_like_grid_on_the_ring(self):
+        # the pressure-chain layout: 30 x 11 jittered thetas, sizes 4..14
+        spec = ModelSpec("ising_chain", J=1.013, h=0.42)
+        t0 = np.linspace(0.1, 2.0, 30) + 0.0137
+        t1 = np.linspace(-1.0, 1.0, 11) - 0.0071
+        stack = np.array([(a, b) for a in t0 for b in t1])
+        for n in range(4, 15):
+            fam = build_model(spec, spec.region(n))
+            expected = [_single_theta_pressure(fam, th) for th in stack]
+            assert np.array_equal(finite_pressure(fam, stack), expected)
+
+    def test_single_vector_gives_a_float_and_a_stack_an_array(self):
+        fam = ising(4, j=1.0, h=0.3)
+        assert type(finite_pressure(fam, [0.7, 0.1])) is float
+        assert type(finite_pressure(fam, ControlVector((0.7, 0.1)))) is float
+        one = finite_pressure(fam, [[0.7, 0.1]])
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+        assert one[0] == finite_pressure(fam, [0.7, 0.1])
+
+    @pytest.mark.parametrize("stack", [np.zeros((3, 3)), np.zeros((0, 2)),
+                                       np.zeros((2, 2, 2)), np.zeros((2, 1))],
+                             ids=["wide", "empty", "3-d", "narrow"])
+    def test_bad_stacks_are_usage_errors(self, stack):
+        with pytest.raises(UsageError):
+            finite_pressure(ising(4), stack)
+        with pytest.raises(UsageError):
+            pressure_limit(ModelSpec("ising_chain", J=1.0), stack, [3, 4, 5])
+
+    def test_non_finite_stack_entry_is_a_data_error(self):
+        with pytest.raises(DataError):
+            finite_pressure(ising(4), [[0.5, 0.0], [np.nan, 0.0]])
+
+
+class TestFinitePressureOverflow:
+    """theta.Q past the float range is a NumericRangeError, not nan rows."""
+
+    @pytest.mark.parametrize("theta", [[1e308, 0.0], [-1e308, 0.0], [1e308, 1e308]])
+    def test_overflow_names_theta(self, theta):
+        fam = ising(4, j=1.0, h=0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericRangeError, match=re.escape(repr(theta[0]))):
+                finite_pressure(fam, theta)
+
+    def test_stack_names_the_first_overflowing_row(self):
+        fam = ising(5, j=1.0, h=0.3)
+        stack = [[0.5, 0.0], [5e307, -0.5], [1e308, 0.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericRangeError, match=re.escape("(5e+307, -0.5)")):
+                finite_pressure(fam, stack)
+            with pytest.raises(NumericRangeError, match=re.escape("(5e+307, -0.5)")):
+                pressure_limit(ModelSpec("ising_chain", J=1.0, h=0.3), stack, [4, 5, 6])
+
+    def test_large_finite_exponents_still_pass(self):
+        fam = ising(4, j=1.0, h=0.3)
+        value = finite_pressure(fam, [1e300, 0.0])
+        assert np.isfinite(value) and value > 1e300
+
+
+class TestStackedPressureLimit:
+    """A stacked pressure_limit call equals its per-theta calls, field by field."""
+
+    CASES = [
+        (ModelSpec("ising_chain", J=0.9, h=0.35), list(range(4, 13)), "geometric"),
+        (ModelSpec("free_spins"), [4, 5, 6, 7, 8, 9], "geometric"),
+        (ModelSpec("ising_chain", J=1.0, h=0.2), [4, 6, 8], "geometric"),
+        (ModelSpec("curie_weiss", J=1.2, h=0.1), list(range(3, 10)), "affine"),
+        (ModelSpec("ising_chain", J=-0.7, h=0.3, boundary="open"), [3, 5, 7, 9], "affine"),
+        (ModelSpec("transverse_ising_chain", J=1.0, hx=0.7, boundary="open"), [3, 4, 5, 6],
+         "affine"),
+    ]
+
+    @pytest.mark.parametrize("spec, sizes, fit", CASES,
+                             ids=[f"{_spec_id(c[0])}-{c[2]}-{len(c[1])}-sizes" for c in CASES])
+    def test_estimates_equal_single_theta_calls(self, spec, sizes, fit):
+        rng = np.random.default_rng(8)
+        stack = rng.uniform(0.1, 2.0, size=(9, spec.n_observables))
+        stack[:, 1:] -= 1.0
+        gibbs.release_families()
+        try:
+            stacked = pressure_limit(spec, stack, sizes, fit=fit)
+            singles = [pressure_limit(spec, th, sizes, fit=fit) for th in stack]
+        finally:
+            gibbs.release_families()
+        assert isinstance(stacked, list) and len(stacked) == 9
+        assert stacked == singles
+        assert repr(stacked) == repr(singles)  # bits, signed zeros included
+
+    def test_each_size_read_once_per_call(self, monkeypatch):
+        calls = []
+        reference = gibbs.finite_pressure
+
+        def counting(family, theta):
+            calls.append(np.shape(theta))
+            return reference(family, theta)
+
+        monkeypatch.setattr(gibbs, "finite_pressure", counting)
+        stack = [[0.3 * k, 0.1] for k in range(1, 8)]
+        estimates = pressure_limit(ModelSpec("ising_chain", J=1.0, h=0.5), stack,
+                                   list(range(4, 10)), fit="geometric")
+        assert len(estimates) == 7
+        assert calls == [(7, 2)] * 6
+        gibbs.release_families()
+
+    def test_no_dominant_root_in_a_stack_is_a_range_error(self, monkeypatch):
+        monkeypatch.setattr(gibbs, "_two_mode_value", lambda *args: None)
+        with pytest.raises(NumericRangeError):
+            pressure_limit(ModelSpec("ising_chain", J=1.0, h=0.5), [[1.0, 0.0], [0.5, 0.1]],
+                           list(range(4, 10)), fit="geometric")

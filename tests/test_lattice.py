@@ -330,3 +330,51 @@ class TestDenseGramWithoutEigensolve:
         assert calls == ["eigvalsh"]
         assert_allclose(gram, (rows * np.exp(log_mult)[:, None]).T @ rows / fam.dim,
                         rtol=1e-13)
+
+
+GROUPING_SPECS = [ModelSpec("free_spins")] + [
+    ModelSpec(kind, J=j, h=h, boundary=boundary)
+    for kind, boundary in (("ising_chain", "periodic"), ("ising_chain", "open"),
+                           ("curie_weiss", "periodic"))
+    for j, h in ((1.0, 0.0), (0.9, 0.35), (-0.7, 0.0), (-0.7, -0.4))
+]
+
+
+class TestLevelGrouping:
+    """The sort-and-break grouping of diagonal rows is np.unique's, byte for byte."""
+
+    @staticmethod
+    def unique_reference(fam):
+        rows, index, counts = np.unique(np.stack(fam.diagonals, axis=1), axis=0,
+                                        return_inverse=True, return_counts=True)
+        return rows, np.log(counts), index.reshape(-1)
+
+    @pytest.mark.parametrize("spec", GROUPING_SPECS,
+                             ids=lambda s: f"{s.kind}-{s.boundary}-J{s.J}-h{s.h}")
+    def test_matches_np_unique(self, spec):
+        for n in range(1, 13):
+            fam = build_model(spec, spec.region(n))
+            view = fam.level_view()
+            for got, want in zip((view.rows, view.log_mult, view.index),
+                                 self.unique_reference(fam)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            rows, log_mult = build_model(spec, spec.region(n)).levels()
+            assert rows.tobytes() == view.rows.tobytes()
+            assert log_mult.tobytes() == view.log_mult.tobytes()
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    def test_mixed_signed_zero_level_takes_its_lowest_state(self, boundary):
+        # at J = 0 the energy -0.0 * bonds - h * M is 0.0 on some states and
+        # -0.0 on others of one level; np.unique's unstable sort picks either
+        spec = ModelSpec("ising_chain", J=0.0, h=0.0, boundary=boundary)
+        for n in range(1, 13):
+            fam = build_model(spec, spec.region(n))
+            view = fam.level_view()
+            rows, log_mult, index = self.unique_reference(fam)
+            assert np.array_equal(view.rows, rows)
+            assert view.log_mult.tobytes() == log_mult.tobytes()
+            assert view.index.tobytes() == index.tobytes()
+            states = np.stack(fam.diagonals, axis=1)
+            lowest = [int(np.flatnonzero(view.index == k)[0]) for k in range(len(view.rows))]
+            assert view.rows.tobytes() == states[lowest].tobytes()
