@@ -158,7 +158,10 @@ def _parse_number_list(text: str) -> list[float]:
     ``_decimal_range``)."""
     text = text.strip()
     if "," in text:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        numbers = [float(tok) for tok in text.split(",") if tok.strip()]
+        if not numbers:
+            raise ValueError(f"no numbers in the list {text!r}")
+        return numbers
     if ":" in text:
         parts = [p.strip() for p in text.split(":")]
         if len(parts) == 2:
@@ -318,8 +321,11 @@ def _run_pressure(cfg: Config, writer: ArtifactWriter, threads: int):
     columns += ["N", "phi_N", "value", "extrapolation_error"]
     rows = []
     for th, est in zip(thetas, estimates):
+        # cells shared by the theta's size rows are rendered once
+        head = tuple(_cell(x) for x in th)
+        tail = (_cell(est.value), _cell(est.extrapolation_error))
         for n, phi in est.per_size:
-            rows.append(tuple(th) + (n, phi, est.value, est.extrapolation_error))
+            rows.append(head + (n, phi) + tail)
     writer.write_csv("pressure.csv", columns, rows)
     return {}
 
@@ -479,12 +485,11 @@ def _run_diff_test(cfg: Config, writer: ArtifactWriter, threads: int):
     window = family.densities([m for m in m_values if abs(m) <= m_max])
     reported = np.all((curve.grid >= window.min(axis=0))
                       & (curve.grid <= window.max(axis=0)), axis=1)
+    inner = np.flatnonzero(reported[2:curve.npoints - 2]) + 2
     width_rows = []
-    for i in range(2, curve.npoints - 2):
-        if not reported[i]:
-            continue
-        ts = tangent_set(curve, curve.grid[i])
-        width_rows.append(tuple(curve.grid[i]) + tuple(ts.width) + (ts.max_width,))
+    if inner.size:
+        ts = tangent_set(curve, curve.grid[inner])
+        width_rows = np.column_stack([ts.point, ts.width, ts.max_width]).tolist()
     coord_cols = [f"q_{k}" for k in range(curve.ndim)]
     width_cols = [f"width_{k}" for k in range(curve.ndim)]
     writer.write_csv("tangent_widths.csv", coord_cols + width_cols + ["max_width"],

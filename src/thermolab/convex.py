@@ -5,6 +5,13 @@ every operation here is defined for the piecewise-linear interpolant of the
 samples: conjugation (entropy density <-> reduced pressure), supporting-slope
 intervals (superdifferentials), concavity audits and the biconjugate hull.
 
+Evaluation points follow the stack convention of ``gibbs.finite_pressure``:
+``tangent_set`` takes one point of m coordinates or a (P, m) stack of them,
+and a stacked call answers for every row at once, with the bits of the
+row's own single-point call (a single point is the one-row case). Its
+stencils are array expressions over a per-axis table of each sample's
+neighbours one and two steps away.
+
 Conventions: a concave curve ``s(q)`` conjugates to the convex
 ``phi(theta) = sup_q (s(q) - theta.q)``; the convex orientation inverts with
 ``s(q) = inf_theta (phi(theta) + theta.q)``. Entropy is measured in natural
@@ -131,6 +138,8 @@ class CurveSamples:
         self.values.setflags(write=False)
         self._axes_cache: tuple = ()  # () = not computed, (None,) or (list,)
         self._lines: dict = {}  # axis k -> (lines, (line, position) of each sample)
+        self._steps: dict = {}  # axis k -> neighbour table, see _neighbours
+        self._rows: dict | None = None  # grid row (tuple) -> sample index
 
     @property
     def npoints(self) -> int:
@@ -196,6 +205,32 @@ class CurveSamples:
         """The axis-k line holding sample i, and i's position on it."""
         return self._axis_table(k)[1][i]
 
+    def _neighbours(self, k: int) -> np.ndarray:
+        """(npoints, 5) table of the samples 2 and 1 steps before each
+        sample, the sample itself, and 1 and 2 steps after it, along its
+        axis-k line on a product grid and along the sample order otherwise;
+        -1 past a line's end. Computed once per axis."""
+        if k not in self._steps:
+            product = self.ndim > 1 and self.axes() is not None
+            lines = self.axis_lines(k) if product else [np.arange(self.npoints)]
+            table = np.full((self.npoints, 5), -1)
+            for line in lines:
+                for d in range(-2, 3):
+                    table[line[max(0, -d):len(line) - max(0, d)], d + 2] = \
+                        line[max(0, d):len(line) + min(0, d)]
+            self._steps[k] = table
+        return self._steps[k]
+
+    def _row_index(self) -> dict:
+        """Sample index of each grid row, keyed by the row's float tuple.
+
+        Rows are pairwise distinct, so a point equal to a row is that
+        sample for ``index_of`` too. Computed once.
+        """
+        if self._rows is None:
+            self._rows = {row: i for i, row in enumerate(map(tuple, self.grid.tolist()))}
+        return self._rows
+
     def index_of(self, point) -> int | None:
         """Index of the sample matching ``point``, or None."""
         point = np.atleast_1d(np.asarray(point, dtype=float))
@@ -259,7 +294,9 @@ class TangentSet:
     ``lower[k] <= upper[k]`` bound the one-sided slope estimates along
     coordinate k; zero width in every coordinate (within ``tol``) certifies
     numerical differentiability at the point. Boundary points carry an
-    unbounded side.
+    unbounded side. The fields are (m,) arrays for one point, or (P, m)
+    arrays for a stack of P points, whose ``max_width`` and
+    ``differentiable`` then hold one entry per point.
     """
 
     point: np.ndarray
@@ -272,13 +309,15 @@ class TangentSet:
         return self.upper - self.lower
 
     @property
-    def max_width(self) -> float:
-        return float(np.max(self.width))
+    def max_width(self) -> float | np.ndarray:
+        widest = np.max(self.width, axis=-1)
+        return float(widest) if widest.ndim == 0 else widest
 
     @property
-    def differentiable(self) -> bool:
+    def differentiable(self) -> bool | np.ndarray:
         w = self.width
-        return bool(np.all(np.isfinite(w)) and np.all(w <= self.tol))
+        smooth = np.all(np.isfinite(w) & (w <= self.tol), axis=-1)
+        return bool(smooth) if smooth.ndim == 0 else smooth
 
     def midpoint(self) -> np.ndarray:
         """A representative supporting slope (midpoint of the intervals)."""
@@ -348,88 +387,85 @@ def support_defect(f: CurveSamples, q, theta) -> float:
     return float(np.max(rel))
 
 
-def _one_sided_slope(coords, vals):
-    """Slope estimate at the last abscissa of a one-sided stencil.
+def _one_sided_slopes(c0, c1, c2, v0, v1, v2, has0, has1):
+    """Slope estimates at abscissae ``c2`` of one-sided stencils, row by row.
 
-    ``coords`` holds 2 or 3 monotone abscissae (Python floats) ending at the
-    evaluation point; the 3-point stencil gives a second-order estimate, the
-    2-point stencil the plain difference quotient. Returns None when the
-    abscissae are too close to resolve a slope.
+    A row is a stencil (c0, c1, c2) of monotone abscissae ending at the
+    evaluation point; ``has0`` and ``has1`` say whether its samples c0 and
+    c1 exist. The 3-point stencil gives a second-order estimate; where c0 is
+    missing or the three abscissae are too close to resolve, the 2-point
+    difference quotient of (c1, c2) is taken, judged at the same scale.
+    Returns the slopes and a mask of the rows whose slope resolved; the
+    slopes of the other rows are meaningless.
     """
-    scale = max(max(abs(c) for c in coords), 1.0)
-    if len(coords) == 3:
-        d01 = coords[1] - coords[0]
-        d12 = coords[2] - coords[1]
-        d02 = coords[2] - coords[0]
-        if (
-            min(abs(d01), abs(d12), abs(d02)) > _ABSCISSA_FLOOR * scale
-            and (d01 > 0) == (d12 > 0)
-        ):
-            v0, v1, v2 = vals
-            return (
-                v0 * d12 / (d01 * d02)
-                - v1 * d02 / (d01 * d12)
-                + v2 * (d02 + d12) / (d02 * d12)
-            )
-        coords, vals = coords[1:], vals[1:]
-    if abs(coords[1] - coords[0]) <= _ABSCISSA_FLOOR * scale:
-        return None
-    return (vals[1] - vals[0]) / (coords[1] - coords[0])
+    near = np.maximum(np.abs(c1), np.abs(c2))
+    scale = np.maximum(np.where(has0, np.maximum(np.abs(c0), near), near), 1.0)
+    floor = _ABSCISSA_FLOOR * scale
+    d01, d12, d02 = c1 - c0, c2 - c1, c2 - c0
+    three = (
+        has0
+        & (np.minimum(np.minimum(np.abs(d01), np.abs(d12)), np.abs(d02)) > floor)
+        & ((d01 > 0) == (d12 > 0))
+    )
+    two = has1 & (np.abs(d12) > floor)
+    slope3 = (v0 * d12 / (d01 * d02) - v1 * d02 / (d01 * d12)
+              + v2 * (d02 + d12) / (d02 * d12))
+    return np.where(three, slope3, (v2 - v1) / d12), three | two
 
 
-def _chain_one_sided(coords, vals, i):
-    """(left, right) slope estimates at position i of an ordered chain.
+def _curvatures(c0, c1, c2, v0, v1, v2, has):
+    """|second difference| of each triple (c0, c1, c2), or 0 where the triple
+    is missing, too close to resolve or not monotone."""
+    d01, d12 = c1 - c0, c2 - c1
+    scale = np.maximum(np.maximum(np.abs(c0), np.abs(c1)), np.maximum(np.abs(c2), 1.0))
+    ok = (
+        has
+        & (np.minimum(np.abs(d01), np.abs(d12)) > _ABSCISSA_FLOOR * scale)
+        & ((d01 > 0) == (d12 > 0))
+    )
+    second = 2.0 * (v0 / (d01 * (d01 + d12)) - v1 / (d01 * d12) + v2 / (d12 * (d01 + d12)))
+    return np.where(ok, np.abs(second), 0.0)
 
-    ``coords`` and ``vals`` are lists of Python floats. Each side uses up to
-    its two adjacent grid intervals; missing or degenerate sides come back
-    as None.
+
+def _axis_intervals(f: CurveSamples, at: np.ndarray, k: int, tol):
+    """(lower, upper, tol, unresolved) along coordinate k at the samples ``at``.
+
+    Each side's slope uses up to its two adjacent grid intervals on the
+    sample's axis-k line; a missing side is unbounded, and ``unresolved``
+    marks the samples with a slope on neither side. The default tol is
+    10 x (larger adjacent spacing) x (largest curvature of the one-sided
+    triples (i-2, i-1, i) and (i, i+1, i+2)): triples straddling i would
+    read a genuine kink at i as curvature. Ties and signed zeros resolve as
+    Python's min and max do.
     """
-    n = len(coords)
-    left = right = None
-    if i >= 1:
-        lo = max(0, i - 2)
-        left = _one_sided_slope(coords[lo : i + 1], vals[lo : i + 1])
-    if i <= n - 2:
-        hi = min(n - 1, i + 2)
-        # stencil ends at i
-        right = _one_sided_slope(coords[i : hi + 1][::-1], vals[i : hi + 1][::-1])
-    return left, right
-
-
-def _local_curvature(coords, vals, i) -> float:
-    """Curvature scale near position i, from triples not straddling i.
-
-    Straddling triples would read a genuine kink at i as curvature, so only
-    the purely one-sided triples (i-2, i-1, i) and (i, i+1, i+2) contribute.
-    ``coords`` and ``vals`` are lists of Python floats.
-    """
-    best = 0.0
-    n = len(coords)
-    for lo in (i - 2, i):
-        if lo < 0 or lo + 2 >= n:
-            continue
-        a0, a1, a2 = coords[lo : lo + 3]
-        d01, d12 = a1 - a0, a2 - a1
-        scale = max(abs(a0), abs(a1), abs(a2), 1.0)
-        if min(abs(d01), abs(d12)) <= _ABSCISSA_FLOOR * scale or (d01 > 0) != (d12 > 0):
-            continue
-        v0, v1, v2 = vals[lo : lo + 3]
-        second = 2.0 * (
-            v0 / (d01 * (d01 + d12)) - v1 / (d01 * d12) + v2 / (d12 * (d01 + d12))
-        )
-        best = max(best, abs(second))
-    return best
-
-
-def _default_tol(coords, vals, i) -> float:
-    """Kink-detection tolerance: 10 x local spacing x local curvature scale."""
-    gaps = []
-    if i >= 1:
-        gaps.append(abs(coords[i] - coords[i - 1]))
-    if i <= len(coords) - 2:
-        gaps.append(abs(coords[i + 1] - coords[i]))
-    spacing = max(gaps) if gaps else 0.0
-    return 10.0 * spacing * _local_curvature(coords, vals, i)
+    nb = f._neighbours(k)[at]
+    has = nb >= 0
+    c = f.grid[nb, k]
+    v = f.values[nb]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        left, has_left = _one_sided_slopes(
+            c[:, 0], c[:, 1], c[:, 2], v[:, 0], v[:, 1], v[:, 2], has[:, 0], has[:, 1])
+        right, has_right = _one_sided_slopes(
+            c[:, 4], c[:, 3], c[:, 2], v[:, 4], v[:, 3], v[:, 2], has[:, 4], has[:, 3])
+        if tol is None:
+            best = np.zeros(len(at))
+            for lo in (0, 2):  # a triple exists where both its ends do
+                bend = _curvatures(*c[:, lo:lo + 3].T, *v[:, lo:lo + 3].T,
+                                   has[:, lo] & has[:, lo + 2])
+                best = np.where(bend > best, bend, best)
+            gap_left = np.abs(c[:, 2] - c[:, 1])
+            gap_right = np.abs(c[:, 3] - c[:, 2])
+            spacing = np.where(has[:, 1], gap_left, 0.0)
+            wider = has[:, 3] & (~has[:, 1] | (gap_right > gap_left))
+            tols = 10.0 * np.where(wider, gap_right, spacing) * best
+        else:
+            tols = np.full(len(at), float(tol))
+    both = has_left & has_right
+    lower = np.where(both, np.where(right < left, right, left),
+                     np.where(has_left, -np.inf, right))
+    upper = np.where(both, np.where(right > left, right, left),
+                     np.where(has_right, np.inf, left))
+    return lower, upper, tols, ~(has_left | has_right)
 
 
 def tangent_set(f: CurveSamples, q, tol: float | None = None) -> TangentSet:
@@ -445,50 +481,59 @@ def tangent_set(f: CurveSamples, q, tol: float | None = None) -> TangentSet:
 
     ``q`` must be a grid sample, except on one-dimensional grids where any
     point of the sampled interval is accepted (points interior to a segment
-    get the chord slope with zero width).
+    get the chord slope with zero width). ``q`` is one point of m
+    coordinates, giving (m,) intervals, or a (P, m) stack of P >= 1 points,
+    giving (P, m) intervals whose rows have the bits of the single-point
+    calls; a single point is the one-row case.
     """
     if f.orientation != CONCAVE:
         raise UsageError("tangent_set expects concave-oriented samples")
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    if q.shape != (f.ndim,):
-        raise UsageError(f"point has {q.size} coordinates, grid has {f.ndim}")
-    i = f.index_of(q)
+    points = np.asarray(q, dtype=float)
+    single = points.ndim < 2
+    if single:
+        points = np.atleast_1d(points)
+        if points.shape != (f.ndim,):
+            raise UsageError(f"point has {points.size} coordinates, grid has {f.ndim}")
+        points = points[None, :]
+    elif points.ndim != 2 or points.shape[0] == 0 or points.shape[1] != f.ndim:
+        raise UsageError(f"expected a (P, {f.ndim}) stack of points with P >= 1, "
+                         f"got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise DataError("non-finite point")
 
-    if i is None:
+    rows = f._row_index()
+    at = np.array([rows.get(p, -1) for p in map(tuple, points.tolist())])
+    for p in np.flatnonzero(at < 0):
+        i = f.index_of(points[p])
+        at[p] = -1 if i is None else i
+
+    lower = np.empty(points.shape)
+    upper = np.empty(points.shape)
+    tols = np.empty(points.shape)
+    off = at < 0
+    if off.any():
         if f.ndim != 1:
             raise DomainError("off-sample evaluation is only defined on 1-d grids")
-        x = q[0]
+        x = points[off, 0]
         g = f.grid[:, 0]
-        if x < g[0] or x > g[-1]:
-            raise DomainError(f"q={x} outside sampled interval [{g[0]}, {g[-1]}]")
-        j = int(np.searchsorted(g, x)) - 1
-        slope = (f.values[j + 1] - f.values[j]) / (g[j + 1] - g[j])
-        t = np.array([0.0 if tol is None else float(tol)])
-        return TangentSet(q, np.array([slope]), np.array([slope]), t)
+        outside = (x < g[0]) | (x > g[-1])
+        if outside.any():
+            raise DomainError(f"q={x[outside][0]} outside sampled interval [{g[0]}, {g[-1]}]")
+        j = np.searchsorted(g, x) - 1
+        lower[off, 0] = upper[off, 0] = (f.values[j + 1] - f.values[j]) / (g[j + 1] - g[j])
+        tols[off, 0] = 0.0 if tol is None else float(tol)
 
-    axes = f.axes() if f.ndim > 1 else None
-    lowers, uppers, tols = [], [], []
-    for k in range(f.ndim):
-        line, pos = f.line_through(i, k) if axes is not None else (None, i)
-        # the stencils reach two samples either side of pos
-        lo = max(0, pos - 2)
-        window = slice(lo, pos + 3) if line is None else line[lo : pos + 3]
-        coords = f.grid[window, k].tolist()
-        vals = f.values[window].tolist()
-        pos -= lo
-        left, right = _chain_one_sided(coords, vals, pos)
-        if left is None and right is None:
-            raise DomainError(f"cannot resolve slopes along coordinate {k} at {q}")
-        if left is None:
-            lo, hi = right, math.inf
-        elif right is None:
-            lo, hi = -math.inf, left
-        else:
-            lo, hi = min(left, right), max(left, right)
-        lowers.append(lo)
-        uppers.append(hi)
-        tols.append(_default_tol(coords, vals, pos) if tol is None else float(tol))
-    return TangentSet(q, np.array(lowers), np.array(uppers), np.array(tols))
+    on = ~off
+    if on.any():
+        for k in range(f.ndim):
+            lo, hi, t, bad = _axis_intervals(f, at[on], k, tol)
+            if bad.any():
+                raise DomainError(f"cannot resolve slopes along coordinate {k} at "
+                                  f"{points[on][np.argmax(bad)]}")
+            lower[on, k], upper[on, k], tols[on, k] = lo, hi, t
+    if single:
+        return TangentSet(points[0], lower[0], upper[0], tols[0])
+    return TangentSet(points, lower, upper, tols)
 
 
 def concavity_violations(f: CurveSamples, tol: float) -> list[ConcavityViolation]:

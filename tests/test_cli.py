@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 from oracles import free_spin_pressure, ising_log_lambda_plus, mean_field_fixed_point
 import thermolab.cli as cli
 import thermolab.gibbs as gibbs
-from thermolab import ConfigError, CurveSamples, NumericRangeError, UsageError
+from thermolab import ConfigError, CurveSamples, NumericRangeError, UsageError, tangent_set
 from thermolab.cli import Config, _chunks, _parse_number_list, main, run_experiment
 
 LN2 = math.log(2.0)
@@ -634,3 +634,60 @@ class TestDiffTestSingleComponentScan:
         assert code == 2
         err = capsys.readouterr().err
         assert "'theta1_values', line 3" in err
+
+
+class TestEmptyNumberList:
+    CONFIGS = {
+        "theta0": ("model = free_spins\ntheta0 = ,\nsizes = 3:5\n", 2),
+        "theta1": ("model = ising_chain\nJ = 1.0\ntheta0 = 1.0\ntheta1 = ,\nsizes = 3:5\n", 4),
+    }
+
+    @pytest.mark.parametrize("key", CONFIGS)
+    def test_comma_list_without_numbers_exits_2(self, tmp_path, capsys, key):
+        text, line = self.CONFIGS[key]
+        path = write_config(tmp_path, text)
+        with pytest.raises(ConfigError) as exc:
+            run_experiment("pressure", path, tmp_path / "out")
+        assert exc.value.key == key and exc.value.line == line
+        code = main(["pressure", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"'{key}', line {line}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "pressure.csv").exists()
+
+
+class TestDiffTestTangentStack:
+    """diff-test reads its tangent widths in one stacked call, and writes the
+    rows that per-point calls give."""
+
+    CONFIGS = {
+        "curie-weiss": None,  # configs/diff_test_curie_weiss.cfg
+        "free-spins": "model = free_spins\ntheta0 = 1.5\nm_spacing = 0.002\nm_max = 0.9\n",
+        "ising-field": ("model = ising_chain\nJ = 1.0\nh = 0.3\ntheta0 = 1.2\n"
+                        "m_spacing = 0.002\nm_max = 0.9\n"),
+    }
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_one_call_with_per_point_rows(self, tmp_path, monkeypatch, name):
+        text = self.CONFIGS[name]
+        if text is None:
+            path = Path(__file__).resolve().parents[1] / "configs" / "diff_test_curie_weiss.cfg"
+        else:
+            path = write_config(tmp_path, text)
+        calls = []
+
+        def recording(curve, q, tol=None):
+            calls.append((curve, np.array(q)))
+            return tangent_set(curve, q, tol)
+
+        monkeypatch.setattr(cli, "tangent_set", recording)
+        run_experiment("diff-test", path, tmp_path / "out")
+        assert len(calls) == 1
+        curve, points = calls[0]
+        assert points.ndim == 2 and points.shape[1] == curve.ndim
+        expected = []
+        for point in points:
+            ts = tangent_set(curve, point)
+            cells = [*point.tolist(), *ts.width.tolist(), ts.max_width]
+            expected.append(",".join(repr(float(c)) for c in cells))
+        lines = (tmp_path / "out" / "tangent_widths.csv").read_text().splitlines()
+        assert [line for line in lines if not line.startswith("#")][1:] == expected

@@ -395,3 +395,139 @@ class TestTangentStencilReference:
             lines = f.axis_lines(k)
             assert [len(line) for line in lines] == [length] * count
             assert sorted(np.concatenate(lines).tolist()) == list(range(6))
+
+
+def assert_stack_matches_points(f, points, tol=None):
+    """A stacked tangent_set call equals the single-point calls, row by row.
+
+    ``repr`` of the float lists tells signed zeros apart, which
+    ``np.array_equal`` does not.
+    """
+    points = np.asarray(points, dtype=float)
+    stacked = tangent_set(f, points, tol=tol)
+    assert stacked.lower.shape == stacked.upper.shape == stacked.tol.shape == points.shape
+    assert np.array_equal(stacked.point, points)
+    for p, point in enumerate(points):
+        one = tangent_set(f, point, tol=tol)
+        for name in ("lower", "upper", "tol", "width"):
+            row, single = getattr(stacked, name)[p], getattr(one, name)
+            assert np.array_equal(row, single), (name, p)
+            assert repr(row.tolist()) == repr(single.tolist()), (name, p)
+        assert repr(stacked.max_width[p].item()) == repr(one.max_width)
+        assert stacked.differentiable[p] == one.differentiable
+    return stacked
+
+
+def assert_rows_match_stencil_reference(ts, f, rows):
+    """Rows ``rows`` of a stacked call on a chain (or 1-d grid) f equal the
+    pure-Python stencils, signed zeros included."""
+    for i in rows:
+        for k in range(f.ndim):
+            reference = stencil_tangent_interval(f.grid[:, k].tolist(), f.values.tolist(), i)
+            got = (ts.lower[i, k].item(), ts.upper[i, k].item(), ts.tol[i, k].item())
+            assert repr(got) == repr(reference), (i, k)
+
+
+class TestStackedTangentSet:
+    """tangent_set over a (P, m) stack keeps every row's single-point bits."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_1d_interior_ends_and_chords(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        f = random_concave_1d(rng, int(rng.integers(3, 40)))
+        q = f.grid[:, 0]
+        chords = rng.uniform(q[0], q[-1], 12)[:, None]
+        points = np.concatenate([f.grid, chords, f.grid[::-1]])
+        ts = assert_stack_matches_points(f, points)
+        assert np.isinf(ts.upper[0, 0]) and np.isinf(ts.lower[f.npoints - 1, 0])
+        assert np.all(ts.width[f.npoints:f.npoints + 12] == 0.0)
+        assert_rows_match_stencil_reference(ts, f, range(f.npoints))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_chain_with_near_coincident_abscissae(self, seed):
+        # first coordinates that (nearly) repeat their neighbour's defeat
+        # the 3-point stencil, so those sides take the 2-point fallback
+        rng = np.random.default_rng(400 + seed)
+        t = np.sort(rng.uniform(-1.0, 1.0, 40))
+        grid = np.stack([t, t**2 + 0.01 * rng.normal(size=t.size)], axis=-1)
+        for j in range(3, 37, 4):
+            grid[j, 0] = grid[j - 1, 0] + [0.0, 2e-15, -3e-15, 4e-14][j % 4]
+        f = CurveSamples(grid, -(t**2) + 0.1 * t, CONCAVE)
+        ts = assert_stack_matches_points(f, f.grid)
+        assert_rows_match_stencil_reference(ts, f, range(f.npoints))
+
+    def test_fallback_keeps_three_point_scale(self):
+        # at q = 1000 the right 3-point stencil (2000, 1000 + 1.5e-10, 1000)
+        # is degenerate; its 2-point fallback is judged at the 3-point scale
+        # 2000, where 1.5e-10 does not resolve, so the interval is unbounded below
+        q = np.array([500.0, 750.0, 1000.0, 1000.0 + 1.5e-10, 2000.0, 2500.0])
+        f = CurveSamples(q, -((q / 1000.0) ** 2), CONCAVE)
+        ts = assert_stack_matches_points(f, f.grid)
+        assert ts.lower[2, 0] == -np.inf
+        assert_rows_match_stencil_reference(ts, f, range(f.npoints))
+
+    def test_diff_test_curve(self):
+        from thermolab import ErgodicFamily, ModelSpec, entropy_curve, family_curve_constraints
+
+        family = ErgodicFamily(ModelSpec("curie_weiss", J=1.0, h=0.0))
+        m = [round(k / 1000, 3) for k in range(-972, 973)]
+        f = entropy_curve(family, family_curve_constraints(family, m))
+        ts = assert_stack_matches_points(f, f.grid[2:-2])
+        assert np.max(ts.max_width) <= 1e-3
+
+    def test_shuffled_product_grid(self):
+        rng = np.random.default_rng(8)
+        xs = np.sort(rng.uniform(-2.0, 2.0, 6))
+        ys = np.sort(rng.uniform(-1.0, 3.0, 5))
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        grid = np.stack([gx.ravel(), gy.ravel()], axis=-1)[rng.permutation(30)]
+        f = CurveSamples(grid, -(grid[:, 0] ** 2) - 3.0 * np.abs(grid[:, 1] - ys[2]), CONCAVE)
+        assert f.axes() is not None
+        assert_stack_matches_points(f, f.grid[rng.permutation(30)])
+
+    def test_tol_override(self):
+        f = entropy_curve_1d(101)
+        points = np.concatenate([f.grid, [[0.123], [0.5004]]])
+        ts = assert_stack_matches_points(f, points, tol=0.25)
+        assert np.all(ts.tol == 0.25)
+
+    def test_signed_zero_slopes(self):
+        # zero values of both signs make slopes of 0.0 and -0.0 on either
+        # side; the interval ends must follow Python's min and max
+        rng = np.random.default_rng(5)
+        q = np.linspace(-1.0, 1.0, 25)
+        values = np.where(rng.random(25) < 0.5, 0.0, -0.0)
+        for grid in (q[:, None], np.stack([q, -2.0 * q], axis=-1)):
+            f = CurveSamples(grid, values, CONCAVE)
+            ts = assert_stack_matches_points(f, grid)
+            assert_rows_match_stencil_reference(ts, f, range(f.npoints))
+
+    def test_bad_stacks_raise(self):
+        f = entropy_curve_1d(11)
+        with pytest.raises(UsageError):
+            tangent_set(f, np.zeros((3, 2)))
+        with pytest.raises(UsageError):
+            tangent_set(f, np.zeros((0, 1)))
+        with pytest.raises(DomainError):
+            tangent_set(f, [[0.5], [1.5]])
+        t = np.linspace(-1.0, 1.0, 9)
+        chain = CurveSamples(np.stack([t, t**2], axis=-1), -(t**2), CONCAVE)
+        with pytest.raises(DomainError):
+            tangent_set(chain, [chain.grid[3], chain.grid[4] + [0.01, 0.0]])
+
+    def test_stack_needs_no_point_by_sample_table(self):
+        # a (P, n) float table over 2,001 points of a 20,001-point chain
+        # would take 320 MB
+        import tracemalloc
+
+        t = np.linspace(-1.0, 1.0, 20_001)
+        f = CurveSamples(np.stack([t, t**3], axis=-1), -(t**2), CONCAVE)
+        points = f.grid[::10]
+        tracemalloc.start()
+        try:
+            ts = tangent_set(f, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ts.lower.shape == (2_001, 2)
+        assert peak < 16 * 2**20
