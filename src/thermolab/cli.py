@@ -40,7 +40,7 @@ from .kms import (
     kms_smeared_residual,
     release_folds,
 )
-from .lattice import ModelSpec, build_model
+from .lattice import MODEL_KINDS, ModelSpec, build_model
 
 # Longest list a lo:hi:step range may expand to.
 MAX_RANGE_POINTS = 10**6
@@ -129,10 +129,9 @@ class Config:
         except ValueError as exc:
             raise ConfigError(str(exc), key=key, line=self._line(key)) from None
 
-    def get_ints(self, key: str, default=None, required: bool = False):
-        floats = self.get_floats(key, default=None, required=required)
-        if floats is None:
-            return default
+    def get_ints(self, key: str):
+        """A required list of integers (see ``_parse_number_list``)."""
+        floats = self.get_floats(key, required=True)
         if not all(math.isfinite(x) for x in floats):
             raise ConfigError("expected finite integers", key=key, line=self._line(key))
         ints = [int(round(x)) for x in floats]
@@ -202,9 +201,7 @@ def _decimals(token: str) -> int:
 
 
 def _model_from_config(cfg: Config) -> ModelSpec:
-    kind = cfg.get_str("model", required=True,
-                       choices=("free_spins", "ising_chain", "curie_weiss",
-                                "transverse_ising_chain"))
+    kind = cfg.get_str("model", required=True, choices=MODEL_KINDS)
     return ModelSpec(
         kind,
         J=cfg.get_float("J", 0.0),
@@ -303,7 +300,7 @@ def _theta_grid(cfg: Config, n_components: int) -> list[tuple]:
 
 def _run_pressure(cfg: Config, writer: ArtifactWriter, threads: int):
     spec = _model_from_config(cfg)
-    sizes = cfg.get_ints("sizes", required=True)
+    sizes = cfg.get_ints("sizes")
     fit = cfg.get_str("fit", "affine", choices=("affine", "geometric"))
     thetas = _theta_grid(cfg, spec.n_observables)
 

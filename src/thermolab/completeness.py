@@ -104,11 +104,6 @@ class ErgodicFamily:
         return np.stack([a * m**2 + b * m + c for a, b, c in
                          map(self.component_coefficients, range(self.n_components))], axis=-1)
 
-    def density_component(self, k: int, m):
-        if np.ndim(m) == 0:
-            return self.component_offset(k, 0.0)(float(m))
-        return self.densities(m)[..., k]
-
     def component_range(self, k: int) -> tuple[float, float]:
         """(min, max) of q_k on [-1, 1]: at m = +-1, or at the vertex."""
         a, b, _ = self.component_coefficients(k)
@@ -154,9 +149,10 @@ class ErgodicFamily:
     def component_offset(self, k: int, target: float):
         """x -> q_k(x) - target on plain floats.
 
-        ``density_component`` evaluates scalars through it too, so both
-        agree bit for bit; the feasibility and extremum checks of the root
-        search call it directly and skip the per-call dispatch.
+        With target 0 it is q_k itself: ``component_range`` and
+        ``mean_field_pressure`` evaluate the density through it, and the
+        feasibility and extremum checks of the root search call it with
+        their target.
         """
         a, b, c = self.component_coefficients(k)
         return lambda x: a * x * x + b * x + c - target
@@ -299,14 +295,10 @@ def constrained_entropy_max(family: ErgodicFamily, constraint, tol: float = 1e-9
 
     etas = [float(family.entropy(x)) for x in feasible]
     best = max(etas)
-    winners = sorted(x for x, e in zip(feasible, etas) if e >= best - tol)
-    merged = []
-    for x in winners:
-        if not merged or x - merged[-1] > MERGE_RADIUS:
-            merged.append(x)
-        elif family.entropy(x) > family.entropy(merged[-1]):
-            merged[-1] = x
-    return MaximizerSet(cons, best, tuple(merged), len(merged))
+    # the candidates are sorted and already merged (consecutive roots are
+    # over MERGE_RADIUS apart), and so is any subsequence of them
+    winners = tuple(x for x, e in zip(feasible, etas) if e >= best - tol)
+    return MaximizerSet(cons, best, winners, len(winners))
 
 
 def _continuum_maximum(family: ErgodicFamily, cons: dict, tol: float) -> MaximizerSet:
@@ -416,7 +408,7 @@ def mean_field_pressure(family: ErgodicFamily, theta) -> float:
             m *= sign
             # eta is even; eta(|m|) keeps the mirror symmetry exact
             best = max(best, family.entropy(abs(m)) - sum(
-                t * family.density_component(k, m) for k, t in enumerate(th)))
+                t * family.component_offset(k, 0.0)(m) for k, t in enumerate(th)))
     return best
 
 

@@ -76,6 +76,17 @@ class ControlVector:
         return len(self.components)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a NaN-free 1-d array: ``np.unique``'s, bit for
+    bit (its sort, then a break wherever neighbours differ), without the
+    ``numpy.ma`` import that ``np.unique`` pays for on its first call."""
+    aux = np.sort(values)
+    keep = np.empty(aux.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = aux[1:] != aux[:-1]
+    return aux[keep]
+
+
 def as_components(theta, n: int | None = None) -> np.ndarray:
     """Normalize a ControlVector or array-like to a float vector.
 
@@ -161,7 +172,7 @@ class CurveSamples:
         """
         if self._axes_cache:
             return self._axes_cache[0]
-        uniques = [np.unique(self.grid[:, k]) for k in range(self.ndim)]
+        uniques = [_distinct(self.grid[:, k]) for k in range(self.ndim)]
         total = 1
         for u in uniques:
             total *= len(u)
@@ -592,7 +603,7 @@ def biconjugate(f: CurveSamples) -> CurveSamples:
         return CurveSamples(f.grid, f.values, CONCAVE, f.metadata)
     if f.ndim == 1:
         chords = np.diff(f.values) / np.diff(f.grid[:, 0])
-        dual = np.unique(chords)[:, None]
+        dual = _distinct(chords)[:, None]
     else:
         if f.axes() is None:
             raise UsageError("biconjugate on dim > 1 requires a Cartesian product grid")
@@ -604,7 +615,7 @@ def biconjugate(f: CurveSamples) -> CurveSamples:
                     slopes.extend(
                         (np.diff(f.values[line]) / np.diff(f.grid[line, k])).tolist()
                     )
-            per_axis.append(np.unique(np.asarray(slopes)) if slopes else np.array([0.0]))
+            per_axis.append(_distinct(np.asarray(slopes)) if slopes else np.array([0.0]))
         mesh = np.meshgrid(*per_axis, indexing="ij")
         dual = np.stack([m.ravel() for m in mesh], axis=-1)
 

@@ -111,9 +111,6 @@ class GaussianTestFunction:
         if not (self.sigma_w > 0 and math.isfinite(self.sigma_w)):
             raise UsageError(f"sigma_w must be positive and finite, got {self.sigma_w}")
 
-    def __call__(self, z: complex) -> complex:
-        return cmath.exp(-(z * z) / (2.0 * self.sigma_w**2))
-
     def values(self, ts: np.ndarray, imag_shift: float = 0.0) -> np.ndarray:
         """f(t + i*imag_shift) on an array of real times."""
         z = np.asarray(ts, dtype=float) + 1j * imag_shift
@@ -256,6 +253,24 @@ def default_quadrature_step(family: ObservableFamily, theta,
     return min(0.1, math.pi / (2.0 * spread + 12.0 / f.sigma_w + 2.0))
 
 
+def _smeared_sides(f: GaussianTestFunction, w_lhs: np.ndarray, w_rhs: np.ndarray,
+                   freqs: np.ndarray, t_range: float, h: float) -> tuple[complex, complex]:
+    """(int f(t) LHS(t) dt, int f(t-i) RHS(t) dt) by the trapezoid rule at step h
+    over [-t_range, t_range], with LHS(t) = sum w_lhs e^{i freqs t} and
+    RHS(t) = sum w_rhs e^{i freqs t} over the level pairs."""
+    ts = np.arange(-t_range, t_range + h / 2.0, h)
+    lhs_t = np.empty(len(ts), dtype=complex)
+    rhs_t = np.empty(len(ts), dtype=complex)
+    for start in range(0, len(ts), 128):  # bound the phase-table memory
+        block = ts[start : start + 128]
+        phases = np.exp(1j * np.outer(block, freqs))
+        lhs_t[start : start + 128] = phases @ w_lhs
+        rhs_t[start : start + 128] = phases @ w_rhs
+    lhs_int = np.trapezoid(f.values(ts) * lhs_t, dx=h)
+    rhs_int = np.trapezoid(f.values(ts, imag_shift=-1.0) * rhs_t, dx=h)
+    return lhs_int, rhs_int
+
+
 def kms_smeared_residual(family: ObservableFamily, theta, a: TestOperator, b: TestOperator,
                          f: GaussianTestFunction, t_range: float | None = None,
                          step: float | None = None) -> float:
@@ -279,21 +294,10 @@ def kms_smeared_residual(family: ObservableFamily, theta, a: TestOperator, b: Te
     if step is None:
         step = default_quadrature_step(family, theta, f)
 
-    def residual_at(h: float) -> float:
-        ts = np.arange(-t_range, t_range + h / 2.0, h)
-        lhs_t = np.empty(len(ts), dtype=complex)
-        rhs_t = np.empty(len(ts), dtype=complex)
-        for start in range(0, len(ts), 128):  # bound the phase-table memory
-            block = ts[start : start + 128]
-            phases = np.exp(1j * np.outer(block, freqs))
-            lhs_t[start : start + 128] = phases @ w_lhs
-            rhs_t[start : start + 128] = phases @ w_rhs
-        lhs_int = np.trapezoid(f.values(ts) * lhs_t, dx=h)
-        rhs_int = np.trapezoid(f.values(ts, imag_shift=-1.0) * rhs_t, dx=h)
-        return abs(lhs_int - rhs_int)
-
-    coarse = residual_at(step)
-    fine = residual_at(step / 2.0)
+    lhs, rhs = _smeared_sides(f, w_lhs, w_rhs, freqs, t_range, step)
+    coarse = abs(lhs - rhs)
+    lhs, rhs = _smeared_sides(f, w_lhs, w_rhs, freqs, t_range, step / 2.0)
+    fine = abs(lhs - rhs)
     if abs(coarse - fine) > 1e-6 * a.max_norm() * b.max_norm():
         raise QuadratureError(
             f"step-halving disagreement {abs(coarse - fine):.3e} at step {step:.3e}"

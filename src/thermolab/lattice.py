@@ -29,7 +29,7 @@ COMPLETE_GRAPH = "complete_graph"
 SINGLE_SITES = "single_sites"
 
 _GEOMETRIES = (CHAIN, COMPLETE_GRAPH, SINGLE_SITES)
-_KINDS = ("free_spins", "ising_chain", "curie_weiss", "transverse_ising_chain")
+MODEL_KINDS = ("free_spins", "ising_chain", "curie_weiss", "transverse_ising_chain")
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,6 @@ class Region:
                 raise UsageError(f"chain boundary must be periodic or open, got {self.boundary!r}")
         elif self.boundary is not None:
             raise UsageError(f"{self.geometry} takes no boundary condition")
-
-    @property
-    def volume(self) -> int:
-        return self.size
 
     @property
     def translation_invariant(self) -> bool:
@@ -78,7 +74,7 @@ class ModelSpec:
     boundary: str = "periodic"
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in MODEL_KINDS:
             raise UsageError(f"unknown model kind {self.kind!r}")
         for name in ("J", "h", "hx"):
             if not np.isfinite(getattr(self, name)):

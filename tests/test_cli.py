@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ import thermolab.cli as cli
 import thermolab.gibbs as gibbs
 from thermolab import ConfigError, CurveSamples, NumericRangeError, UsageError, tangent_set
 from thermolab.cli import Config, _chunks, _parse_number_list, main, run_experiment
+from thermolab.lattice import MODEL_KINDS
 
 LN2 = math.log(2.0)
 
@@ -691,3 +693,67 @@ class TestDiffTestTangentStack:
             expected.append(",".join(repr(float(c)) for c in cells))
         lines = (tmp_path / "out" / "tangent_widths.csv").read_text().splitlines()
         assert [line for line in lines if not line.startswith("#")][1:] == expected
+
+
+class TestConfigValueErrors:
+    """Each typed getter names the key and line of a value it cannot read."""
+
+    def test_empty_key(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"empty key \(line 2\)"):
+            Config.load(write_config(tmp_path, "model = free_spins\n= 3\n"))
+
+    @pytest.mark.parametrize("getter, text, message", [
+        ("get_float", "J = abc", "as a number"),
+        ("get_int", "J = 2.5", "as an integer"),
+        ("get_ints", "J = 3.5, 4", "expected integers"),
+    ])
+    def test_unreadable_value(self, tmp_path, getter, text, message):
+        cfg = Config.load(write_config(tmp_path, "model = free_spins\n" + text + "\n"))
+        with pytest.raises(ConfigError, match=message) as exc:
+            getattr(cfg, getter)("J")
+        assert exc.value.key == "J" and exc.value.line == 2
+
+    def test_unknown_model_lists_every_kind(self, tmp_path):
+        path = write_config(tmp_path, "model = no_such_model\ntheta0 = 0\nsizes = 3:5\n")
+        with pytest.raises(ConfigError) as exc:
+            run_experiment("pressure", path, tmp_path / "out")
+        assert all(kind in str(exc.value) for kind in MODEL_KINDS)
+
+    def test_unknown_subcommand(self, tmp_path):
+        path = write_config(tmp_path, "model = free_spins\ntheta0 = 0\nsizes = 3:5\n")
+        with pytest.raises(ConfigError, match="unknown subcommand 'nope'"):
+            run_experiment("nope", path, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+
+class TestModuleEntryPoint:
+    def test_run_as_main_in_process(self, tmp_path, monkeypatch, capsys):
+        path = write_config(tmp_path, "model = free_spins\ntheta0 = 0\nsizes = 3:5\n")
+        monkeypatch.setattr(sys, "argv", ["thermolab", "pressure", "--config", str(path),
+                                          "--out", str(tmp_path / "out")])
+        monkeypatch.delitem(sys.modules, "thermolab.__main__", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("thermolab", run_name="__main__")
+        assert exc.value.code == 0
+        assert json.loads(capsys.readouterr().out)["subcommand"] == "pressure"
+
+
+class TestNoMaskedArrayImport:
+    """A diff-test run never imports numpy.ma: np.unique would, on its first
+    call, at about 21 ms CPU in a fresh process."""
+
+    def test_diff_test_leaves_numpy_ma_unimported(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        script = (
+            "import sys\n"
+            "from thermolab.cli import run_experiment\n"
+            f"run_experiment('diff-test', {str(root / 'configs' / 'diff_test_curie_weiss.cfg')!r},"
+            f" {str(tmp_path / 'out')!r})\n"
+            "print('numpy' in sys.modules, 'numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "False"]

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -30,6 +31,8 @@ from thermolab import (
 )
 from thermolab.cli import Config
 from thermolab.completeness import InfeasibleGridPointWarning, normalize_constraint
+from thermolab.cli import run_experiment
+from thermolab.completeness import MERGE_RADIUS
 
 LN2 = math.log(2.0)
 
@@ -508,3 +511,54 @@ class TestMeanFieldPressureOracle:
         m = np.array([-1.0, 1.0, 0.0])
         expected = np.max(cw().entropy(m) - cw().densities(m) @ np.asarray(theta))
         assert_allclose(got, expected, rtol=1e-15, atol=0)
+
+
+class TestUnconstrainingEnergy:
+    """At J = h = 0 the energy density is 0 for every m, so {0: 0.0}
+    constrains nothing and the answer is eta's maximum at m = 0."""
+
+    def test_sharp_maximum(self):
+        result = constrained_entropy_max(ErgodicFamily(ModelSpec("curie_weiss")), {0: 0.0})
+        assert result.maximizers == (0.0,)
+        assert result.multiplicity == 1
+        assert result.entropy_value == LN2
+
+    def test_flat_maximum_reports_its_interval(self, tmp_path):
+        path = tmp_path / "flat.cfg"
+        path.write_text("model = curie_weiss\nJ = 0.0\nh = 0.0\nconstrain = energy\n"
+                        "e_values = 0.0\ntol = 0.01\n")
+        run_experiment("completeness", path, tmp_path / "out")
+        payload = json.loads((tmp_path / "out" / "completeness.json").read_text())
+        record = payload["records"][0]
+        assert record["multiplicity"] == "inf"
+        lo, hi = record["interval"]
+        assert record["maximizers"] == [lo, hi]
+        assert -0.2 < lo < -0.1 and 0.1 < hi < 0.2
+        # the ends of the flat top are where eta falls tol below ln 2
+        assert LN2 - 0.01 <= cw().entropy(hi) <= LN2 - 0.0099
+
+
+class TestConstraintInputChecks:
+    def test_component_index_out_of_range(self):
+        with pytest.raises(UsageError, match="out of range"):
+            constrained_entropy_max(cw(), {5: 0.0})
+
+    def test_no_constraints(self):
+        with pytest.raises(UsageError, match="no constraints"):
+            completeness_verdict(cw(), [])
+
+    def test_empty_curve_grid(self):
+        with pytest.raises(UsageError, match="empty curve grid"):
+            entropy_curve(cw(), [])
+
+
+class TestMaximizersStayMerged:
+    """Maximizers are sorted and farther apart than MERGE_RADIUS: they are
+    a subsequence of one component's merged roots."""
+
+    @pytest.mark.parametrize("constraint", [{0: -0.3}, {0: -0.125, 1: 0.5}, {1: -0.2}])
+    def test_sorted_and_separated(self, constraint):
+        result = constrained_entropy_max(cw(), constraint)
+        gaps = np.diff(result.maximizers)
+        assert np.all(gaps > MERGE_RADIUS)
+        assert result.multiplicity == len(result.maximizers)

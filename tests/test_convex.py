@@ -23,6 +23,7 @@ from thermolab import (
     tangent_set,
 )
 from thermolab.convex import support_defect
+from thermolab.convex import _distinct, as_components
 
 LN2 = 0.6931471805599453
 LN3 = 1.0986122886681098
@@ -531,3 +532,111 @@ class TestStackedTangentSet:
             tracemalloc.stop()
         assert ts.lower.shape == (2_001, 2)
         assert peak < 16 * 2**20
+
+
+class TestDistinctValues:
+    """convex's sorted distinct values are np.unique's, signed zeros included."""
+
+    @pytest.mark.parametrize("values, expected", [
+        ([0.0, -0.0, 1.0, -0.0, 0.0], "array([0., 1.])"),
+        ([-0.0, 0.0], "array([-0.])"),
+        ([np.inf, -np.inf, 1.0, np.inf], "array([-inf,   1.,  inf])"),
+        ([], "array([], dtype=float64)"),
+    ])
+    def test_matches_np_unique_by_repr(self, values, expected):
+        values = np.array(values, dtype=float)
+        assert repr(_distinct(values)) == repr(np.unique(values)) == expected
+
+
+class TestConvexInputChecks:
+    """Malformed controls, grids, points and CSV text are rejected."""
+
+    def test_empty_control_vector(self):
+        with pytest.raises(UsageError, match="at least one component"):
+            ControlVector(())
+
+    def test_two_dimensional_control(self):
+        with pytest.raises(UsageError, match="one-dimensional"):
+            as_components([[1.0, 2.0]])
+
+    def test_non_finite_control(self):
+        with pytest.raises(DataError):
+            as_components([np.nan])
+
+    def test_grid_rank(self):
+        with pytest.raises(UsageError, match="grid must be"):
+            CurveSamples(np.zeros((2, 2, 2)), np.zeros(2), CONCAVE)
+
+    def test_values_shape(self):
+        with pytest.raises(UsageError, match="values shape"):
+            CurveSamples([0.0, 1.0, 2.0], [0.0, 1.0], CONCAVE)
+
+    def test_repr(self):
+        f = CurveSamples([[0.0, 0.0], [1.0, 0.0]], [0.0, 1.0], CONVEX)
+        assert repr(f) == "CurveSamples(2 points, dim 2, convex)"
+
+    def test_index_of_coordinate_count(self):
+        with pytest.raises(UsageError, match="coordinates"):
+            entropy_curve_1d(11).index_of([0.5, 0.5])
+
+    def test_csv_blank_lines_are_skipped(self):
+        f = CurveSamples.from_csv("# orientation=concave\n\nq_0,value\n0.0,1.0\n\n1.0,2.0\n")
+        assert f.npoints == 2
+
+    def test_csv_without_rows(self):
+        with pytest.raises(DataError, match="no sample rows"):
+            CurveSamples.from_csv("# orientation=concave\nq_0,value\n")
+
+    def test_tangent_point_coordinate_count(self):
+        with pytest.raises(UsageError, match="coordinates"):
+            tangent_set(entropy_curve_1d(11), [0.1, 0.2])
+
+    def test_tangent_non_finite_point(self):
+        with pytest.raises(DataError, match="non-finite point"):
+            tangent_set(entropy_curve_1d(11), [[np.nan]])
+
+    def test_tangent_on_a_one_value_axis(self):
+        # a 5 x 1 product grid: nothing to difference along coordinate 1
+        f = CurveSamples([[x, 0.0] for x in range(5)], [0.0, 1.0, 1.5, 1.0, 0.0], CONCAVE)
+        with pytest.raises(DomainError, match="along coordinate 1"):
+            tangent_set(f, [2.0, 0.0])
+
+
+class TestSupportDefect:
+    def test_off_grid_point(self):
+        with pytest.raises(DomainError, match="grid sample"):
+            support_defect(entropy_curve_1d(11), [0.123], [0.0])
+
+    def test_convex_samples(self):
+        xs = np.linspace(-1.0, 1.0, 9)
+        f = CurveSamples(xs, xs**2, CONVEX)
+        # the tangent of x^2 at 0.5 has slope 1 and lies below the samples
+        assert abs(support_defect(f, [0.5], [1.0])) <= 1e-15
+        assert support_defect(f, [0.5], [3.0]) > 0.1
+
+
+class TestUnresolvedChainTriples:
+    """The chord audit skips triples it cannot judge: abscissae closer than
+    the floor, and a chain that turns back on itself."""
+
+    def test_abscissae_below_the_floor(self):
+        f = CurveSamples([0.0, 1e-15, 2e-15], [0.0, -1.0, 0.0], CONCAVE)
+        assert concavity_violations(f, 0.0) == []
+
+    def test_backtracking_chain(self):
+        f = CurveSamples([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]], [0.0, -1.0, 0.0], CONCAVE)
+        assert f.axes() is None
+        assert concavity_violations(f, 0.0) == []
+
+
+class TestBiconjugateEdges:
+    def test_one_point(self):
+        f = CurveSamples([0.3], [1.25], CONCAVE, {"k": "v"})
+        hull = biconjugate(f)
+        assert hull.values.tolist() == [1.25]
+        assert hull.metadata == {"k": "v"}
+
+    def test_chain_of_samples_is_refused(self):
+        f = CurveSamples([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]], [0.0, 1.0, 0.5], CONCAVE)
+        with pytest.raises(UsageError, match="Cartesian product grid"):
+            biconjugate(f)

@@ -685,3 +685,63 @@ class TestStackedPressureLimit:
         with pytest.raises(NumericRangeError):
             pressure_limit(ModelSpec("ising_chain", J=1.0, h=0.5), [[1.0, 0.0], [0.5, 0.1]],
                            list(range(4, 10)), fit="geometric")
+
+
+class TestStateInputChecks:
+    """Bad states and mismatched dimensions are UsageErrors."""
+
+    def test_empty_probabilities(self):
+        with pytest.raises(UsageError, match="non-empty"):
+            DensityState([])
+
+    def test_negative_weight(self):
+        with pytest.raises(UsageError, match="negative weight"):
+            DensityState([1.5, -0.5])
+
+    def test_basis_shape(self):
+        with pytest.raises(UsageError, match="basis shape"):
+            DensityState([0.5, 0.5], np.eye(3))
+
+    def test_non_square_matrix(self):
+        with pytest.raises(UsageError, match="square"):
+            DensityState.from_matrix(np.ones((2, 3)) / 2.0)
+
+    @pytest.mark.parametrize("op", [np.ones(3), np.ones((3, 3))], ids=["diagonal", "dense"])
+    def test_observable_dimension(self, op):
+        with pytest.raises(UsageError, match="dimension mismatch"):
+            maximally_mixed(2).expectation(op)
+
+    def test_relative_entropy_dimensions(self):
+        with pytest.raises(UsageError, match="different dimensions"):
+            relative_entropy(maximally_mixed(2), maximally_mixed(4))
+
+
+class TestRelativeEntropyOneTail:
+    """Diagonal and rotated states share one null-mass check and cross term."""
+
+    def test_rotated_state_off_the_support_diverges(self):
+        plus = DensityState([1.0, 0.0], np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
+        assert relative_entropy(plus, DensityState([1.0, 0.0])) == math.inf
+
+    def test_identity_basis_keeps_the_diagonal_bits(self):
+        rho = DensityState([0.7, 0.2, 0.1])
+        sigma = DensityState([0.25, 0.5, 0.25])
+        rotated = DensityState(rho.probabilities, np.eye(3))
+        assert relative_entropy(rotated, sigma) == relative_entropy(rho, sigma)
+
+
+class TestTwoModeGuard:
+    """The two-mode fit's one guard turns a fitted recurrence without a
+    positive finite dominant root into None, and pressure_limit into
+    NumericRangeError. Real sums do not reach it, so lstsq is replaced."""
+
+    @pytest.mark.parametrize("coef", [(-1.0, 1.0), (math.nan, 0.0), (1e200, -1.0)],
+                             ids=["negative-root", "nan-discriminant", "infinite-discriminant"])
+    def test_guard(self, monkeypatch, coef):
+        monkeypatch.setattr(gibbs.np.linalg, "lstsq",
+                            lambda *args, **kwargs: (np.array(coef), None, 2, None))
+        narr = np.arange(4.0, 10.0)
+        assert gibbs._two_mode_value(narr, np.full(6, 0.5), 1.0) is None
+        with pytest.raises(NumericRangeError, match="dominant root"):
+            pressure_limit(ModelSpec("ising_chain", J=1.0, h=0.5), [1.0, 0.0],
+                           list(range(4, 10)), fit="geometric")

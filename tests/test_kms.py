@@ -40,6 +40,8 @@ from thermolab.kms import (
     release_folds,
 )
 from thermolab.lattice import ObservableFamily, Translation
+from thermolab import NumericRangeError
+from thermolab.kms import _smeared_sides
 
 
 def single_site_sz_family():
@@ -484,3 +486,56 @@ class TestFoldReuse:
         _, _, cross, _ = _residual_tables(fam, [1.0], op, op)
         assert not cross.flags.writeable
         release_folds()
+
+
+class TestResidualRangeChecks:
+    """Inputs that leave the floating-point range end in NumericRangeError."""
+
+    def test_unknown_pauli(self):
+        with pytest.raises(UsageError, match="x, y, z"):
+            site_pauli("w", 0, 2)
+
+    def test_site_out_of_range(self):
+        with pytest.raises(UsageError, match="out of range"):
+            site_pauli("x", 3, 2)
+
+    def test_infinite_time(self):
+        a = site_pauli("x", 0, 3)
+        with pytest.raises(UsageError, match="not finite"):
+            kms_residual(ising(3), [1.0, 0.0], a, a, math.inf)
+
+    def test_partition_sum_out_of_range(self):
+        a = site_pauli("x", 0, 3)
+        with np.errstate(all="ignore"), pytest.raises(NumericRangeError, match="partition sum"):
+            kms_residual(ising(3), [1e308, 0.0], a, a, 0.5)
+
+    def test_overflowing_probe(self):
+        big = TestOperator(1e200 * site_pauli("x", 0, 3).matrix, "big")
+        try:
+            with np.errstate(all="ignore"), pytest.raises(NumericRangeError, match="overflowed"):
+                kms_residual(ising(3), [1.0, 0.0], big, big, 0.5)
+        finally:
+            release_folds()
+
+
+class TestSmearedSidesClosedForm:
+    """Each smeared side against its closed form. For the Gaussian f with
+    width sigma, int f(t) e^{i delta t} dt = sigma sqrt(2 pi) e^{-sigma^2 delta^2 / 2},
+    and shifting f by -i multiplies it by e^{-delta}; a residual alone would
+    pass if both sides were wrong by the same amount."""
+
+    @pytest.mark.parametrize("theta", [[0.5, 0.0], [1.0, 0.2], [2.0, -0.3]])
+    def test_both_sides_on_the_six_site_ring(self, theta):
+        fam = ising(6, j=1.0, h=0.0)
+        f = GaussianTestFunction(2.0)
+        step = default_quadrature_step(fam, theta, f)
+        for a, b, _ in default_probes(fam, 0, [0.0]):
+            lam, log_z, cross, delta = _residual_tables(fam, theta, a, b)
+            w_lhs = (np.exp(-lam[:, None] - log_z) * cross).ravel()
+            w_rhs = (np.exp(-lam[None, :] - log_z) * cross).ravel()
+            freqs = delta.ravel()
+            gauss = f.sigma_w * math.sqrt(2.0 * math.pi) * np.exp(-(f.sigma_w * freqs) ** 2 / 2.0)
+            for h in (step, step / 2.0):
+                lhs, rhs = _smeared_sides(f, w_lhs, w_rhs, freqs, f.support_radius(), h)
+                assert abs(lhs - np.sum(w_lhs * gauss)) <= 1e-13
+                assert abs(rhs - np.sum(w_rhs * gauss * np.exp(-freqs))) <= 1e-13

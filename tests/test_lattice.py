@@ -13,6 +13,7 @@ from thermolab import (
     verify_family,
 )
 from thermolab.lattice import ObservableFamily, _site_spins, lift_site_operator
+from thermolab.lattice import MODEL_KINDS, parse_model_config
 
 
 def test_region_validation():
@@ -378,3 +379,42 @@ class TestLevelGrouping:
             states = np.stack(fam.diagonals, axis=1)
             lowest = [int(np.flatnonzero(view.index == k)[0]) for k in range(len(view.rows))]
             assert view.rows.tobytes() == states[lowest].tobytes()
+
+
+class TestModelTextAndFamilyChecks:
+    def test_model_config_skips_comments_and_blank_lines(self):
+        spec, n = parse_model_config("# a ring\n\nmodel=ising_chain\nJ=0.5  # coupling\nN=6\n")
+        assert spec == ModelSpec("ising_chain", J=0.5)
+        assert n == 6
+
+    def test_model_config_line_without_equals(self):
+        with pytest.raises(UsageError, match="line 2"):
+            parse_model_config("model=free_spins\nJ 1.0\n")
+
+    def test_transverse_echo_names_hx(self):
+        echo = ModelSpec("transverse_ising_chain", J=1.0, hx=0.6).config_echo()
+        assert echo == {"model": "transverse_ising_chain", "J": 1.0, "hx": 0.6,
+                        "boundary": "periodic"}
+
+    def test_model_kinds_are_the_accepted_kinds(self):
+        for kind in MODEL_KINDS:
+            assert ModelSpec(kind).kind == kind
+        with pytest.raises(UsageError):
+            ModelSpec("no_such_model")
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({}, "exactly one"),
+        ({"diagonals": [np.zeros(2)], "matrices": [np.eye(2)]}, "exactly one"),
+        ({"matrices": [np.array([[0.0, 1.0], [0.0, 0.0]])]}, "hermitian"),
+        ({"diagonals": [np.zeros(3)]}, "shape mismatch"),
+        ({"diagonals": []}, "at least one observable"),
+        ({"diagonals": [np.zeros(2), np.ones(2)]}, "one label per observable"),
+    ], ids=["neither", "both", "not-hermitian", "shape", "empty", "labels"])
+    def test_family_construction_errors(self, kwargs, message):
+        labels = ("energy",) if kwargs.get("diagonals") != [] else ()
+        with pytest.raises(UsageError, match=message):
+            ObservableFamily(Region("single_sites", 1), labels, **kwargs)
+
+    def test_lift_site_out_of_range(self):
+        with pytest.raises(UsageError, match="out of range"):
+            lift_site_operator(np.eye(2), -1, 3)
