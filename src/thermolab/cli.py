@@ -492,6 +492,12 @@ def _run_diff_test(cfg: Config, writer: ArtifactWriter, threads: int):
     writer.write_csv("tangent_widths.csv", coord_cols + width_cols + ["max_width"],
                      width_rows)
     max_tangent_width = max((r[-1] for r in width_rows), default=0.0)
+    # a large width along a density strictly monotone in m means a kink; along
+    # one that turns back (q_0 at its vertex) the width is large on a smooth curve
+    chart = next(k for k, (a, b, _) in enumerate(map(family.component_coefficients,
+                                                      range(family.n_components)))
+                 if b != 0.0 and abs(b) >= 2.0 * abs(a))
+    max_chart_width = max((r[curve.ndim + chart] for r in width_rows), default=0.0)
 
     # one-sided pressure slopes across the symmetry-breaking control value
     base = [theta0] + [0.0] * (family.n_components - 1)
@@ -517,6 +523,8 @@ def _run_diff_test(cfg: Config, writer: ArtifactWriter, threads: int):
             "gap": gap.gap,
         },
         "max_tangent_width": max_tangent_width,
+        "chart_component": chart,
+        "max_chart_width": max_chart_width,
     }
 
 

@@ -12,9 +12,11 @@ critical energy).
 Every density component is a polynomial a m^2 + b m + c, whose triple only
 ``ErgodicFamily.component_coefficients`` knows; the densities, the attainable
 ranges (q at m = +-1 and at the vertex) and each constraint's roots (the
-stable quadratic formula) follow from it. A joint constraint keeps those
-roots of one component (a linear one, if constrained) that meet every other,
-checked with the plain-float closures of ``ErgodicFamily.component_offset``.
+stable quadratic formula) follow from it. The root search runs stacked, on
+(P, 5) candidate tables for P constraints: a whole curve is one call, and
+``constrained_entropy_max`` its one-row case. A joint constraint keeps those
+roots of one component (a linear one if constrained, else the lowest index)
+that meet every other.
 The variational pressure sits at a root of the mean-field equation
 atanh(m) = s m + r, found by bisection.
 
@@ -82,7 +84,9 @@ class ErgodicFamily:
         return np.diag([(1.0 + m) / 2.0, (1.0 - m) / 2.0])
 
     def entropy(self, m):
-        """eta(m): binary entropy of (1+m)/2; 0 at m = +-1, ln 2 at m = 0."""
+        """eta(m): binary entropy of (1+m)/2; 0 at m = +-1, ln 2 at m = 0. The
+        solver passes scalars (``math.log``); only ``_scan_arrays`` passes an
+        array, whose ``np.log`` can differ from ``math.log`` in the last bit."""
         if np.ndim(m) == 0:
             p = (1.0 + float(m)) / 2.0
             out = 0.0
@@ -147,12 +151,13 @@ class ErgodicFamily:
         return -j, -self.model.h, -0.0
 
     def component_offset(self, k: int, target: float):
-        """x -> q_k(x) - target on plain floats.
+        """x -> q_k(x) - target, on floats or broadcasting arrays alike (the
+        same correctly rounded steps in the same order).
 
         With target 0 it is q_k itself: ``component_range`` and
         ``mean_field_pressure`` evaluate the density through it, and the
-        feasibility and extremum checks of the root search call it with
-        their target.
+        root search checks its (P, 5) candidate tables against a column of
+        targets with it.
         """
         a, b, c = self.component_coefficients(k)
         return lambda x: a * x * x + b * x + c - target
@@ -211,7 +216,7 @@ def normalize_constraint(family: ErgodicFamily, constraint) -> dict:
                 raise UsageError(f"unknown component {key!r}; family has {labels}")
             key = labels.index(key)
         key = int(key)
-        if not 0 <= key < family.n_components:
+        if not 0 <= key < len(labels):
             raise UsageError(f"component index {key} out of range for {labels}")
         out[key] = float(val)
     if not out:
@@ -219,86 +224,115 @@ def normalize_constraint(family: ErgodicFamily, constraint) -> dict:
     return out
 
 
-def _component_roots(family: ErgodicFamily, k: int, target: float, tol: float):
-    """Roots of q_k(m) = target on [-1, 1], or None for an unconstraining
-    component (q_k equal to target everywhere within tol).
+def _root_table(family: ErgodicFamily, k: int, targets: np.ndarray, tol: float):
+    """Roots of q_k(m) = t on [-1, 1] for a column of P targets t: (x, keep,
+    flat), each row of x (P, 5) sorted with its roots marked by ``keep``, and
+    ``flat`` where q_k equals t everywhere within tol (no restriction).
 
-    q_k is a polynomial of degree <= 2, so the roots are closed form: -c/b
-    for a linear component, the stable quadratic formula otherwise. The
-    extrema of q_k on [-1, 1] (the endpoints, the vertex) are candidates
-    too, for a double root or one just past a band edge. A candidate counts
-    as a root where q_k meets the target within max(tol, 1e-9), times
-    ``coefficient_scale[k]``: the rounding residual of q_k(m) - target grows
-    with the coefficients (a root at J = 2e8 misses by more than 1e-9).
+    The roots are closed form: -c/b for a linear component, the stable
+    quadratic formula otherwise. The extrema of q_k on [-1, 1] (the ends,
+    the vertex) are candidates too, for a double root or one just past a
+    band edge. A candidate counts as a root where q_k meets the target
+    within max(tol, 1e-9) * ``coefficient_scale[k]``: the rounding residual
+    of q_k(m) - t grows with the coefficients (a root at J = 2e8 misses by
+    more than 1e-9). Each step is correctly rounded, so rows are independent.
     """
     lo_range, hi_range = family.component_range(k)
-    if hi_range <= target + tol and lo_range >= target - tol:
-        return None  # continuum: component places no restriction
+    flat = (hi_range <= targets + tol) & (lo_range >= targets - tol)
 
     a, b, c = family.component_coefficients(k)
-    c -= target
-    candidates = [-1.0, 1.0]
-    if a == 0.0:
-        if b != 0.0:
-            candidates.append(-c / b)
-    else:
-        candidates.append(-b / (2.0 * a))
-        disc = b * b - 4.0 * a * c
-        if disc >= 0.0:
-            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-            candidates += [q / a, c / q] if q != 0.0 else [0.0]
-    fn = family.component_offset(k, target)
+    c = c - targets
+    x = np.full((len(targets), 5), np.inf)
+    x[:, 0], x[:, 1] = -1.0, 1.0
     accept = max(tol, 1e-9) * family.coefficient_scale[k]
+    with np.errstate(all="ignore"):  # columns that do not apply hold NaN or inf
+        if a == 0.0:
+            if b != 0.0:
+                x[:, 2] = -c / b
+        else:
+            x[:, 2] = -b / (2.0 * a)
+            disc = b * b - 4.0 * a * c
+            q = -0.5 * (b + np.copysign(np.sqrt(disc), b))  # NaN where disc < 0
+            x[:, 3] = np.where(q != 0.0, q / a, 0.0)
+            x[:, 4] = np.where(q != 0.0, c / q, np.inf)
+        keep = ((-1.0 <= x) & (x <= 1.0)
+                & (np.abs(family.component_offset(k, targets[:, None])(x)) <= accept))
     # "+ 0.0" turns a -0.0 root into 0.0
-    roots = sorted(x + 0.0 for x in candidates if -1.0 <= x <= 1.0 and abs(fn(x)) <= accept)
-    merged: list[float] = []
-    for x in roots:
-        if not merged or x - merged[-1] > MERGE_RADIUS:
-            merged.append(x)
-    return merged
+    x = np.sort(np.where(keep, x + 0.0, np.inf), axis=1)
+    keep = x < np.inf
+    last = np.full(len(x), -np.inf)
+    for j in range(x.shape[1]):
+        keep[:, j] &= x[:, j] - last > MERGE_RADIUS
+        last = np.where(keep[:, j], x[:, j], last)
+    return x, keep, flat
 
 
-def constrained_entropy_max(family: ErgodicFamily, constraint, tol: float = 1e-9) -> MaximizerSet:
-    """Maximize eta(m) subject to the specified density components.
+def _component_roots(family: ErgodicFamily, k: int, target: float, tol: float):
+    """The one-row ``_root_table``: a list of roots, or None where flat."""
+    x, keep, flat = _root_table(family, k, np.array([float(target)]), tol)
+    return None if flat[0] else x[0, keep[0]].tolist()
 
-    The roots of the constrained components come in closed form; those that
-    meet every component k within max(tol, 1e-9) * coefficient_scale[k]
-    (see ``_component_roots``) are feasible, and all
-    global maximizers within ``tol`` of the optimum are returned, merged
-    within MERGE_RADIUS. Flat optima come back with multiplicity inf
-    and the interval endpoints. Raises InfeasibleConstraintError (listing the
-    reachable ranges) when no polarization meets the constraint.
+
+def _unreachable(family: ErgodicFamily, cons: dict) -> InfeasibleConstraintError:
+    reachable = {k: family.component_range(k) for k in cons}
+    return InfeasibleConstraintError(f"constraint {cons} unreachable; "
+                                     f"attainable ranges {reachable}", reachable)
+
+
+def _maximize_stack(family: ErgodicFamily, comps: tuple, targets, tol: float):
+    """Maximize eta(m) with q_comps[j] fixed at targets[i, j], for each row i
+    (``comps`` ascending).
+
+    Returns (best, x, winners, flat): row i's maximizers x[i, winners[i]]
+    reach entropy best[i]. A row with no winner is infeasible, unless every
+    component is flat at its target (``flat``; see ``_continuum_maximum``).
+    The candidates are the roots of one non-flat component per row: the
+    lowest-index linear one (exact to one rounding), else the lowest-index
+    one. Those within max(tol, 1e-9) * coefficient_scale[k] of every target
+    are feasible, and eta takes the scalar ``math.log`` path on them alone.
     """
     if not 0.0 < tol < math.inf:
         raise UsageError(f"tol must be positive and finite, got {tol}")
-    cons = normalize_constraint(family, constraint)
-
-    root_sets = {k: _component_roots(family, k, v, tol) for k, v in cons.items()}
-    root_sets = {k: roots for k, roots in root_sets.items() if roots is not None}
-    if not root_sets:
-        return _continuum_maximum(family, cons, tol)
-
-    # a feasible point is a root of every constrained component, so one
-    # component's roots are the candidates: a linear one's if constrained,
-    # since its single root is exact to one rounding
-    source = min(root_sets, key=lambda k: family.component_coefficients(k)[0] != 0.0)
-    candidates = root_sets[source]
+    targets = np.asarray(targets, dtype=float)
+    tables = [_root_table(family, k, targets[:, j], tol) for j, k in enumerate(comps)]
+    source = np.full(len(targets), -1)
+    # the preferred source is written last: linear before quadratic, then lowest index
+    for j in reversed(sorted(range(len(comps)),
+                             key=lambda j: family.component_coefficients(comps[j])[0] != 0.0)):
+        source[~tables[j][2]] = j
+    flat, rows = source < 0, np.arange(len(targets))
+    x = np.stack([t[0] for t in tables])[source, rows]
+    keep = np.stack([t[1] for t in tables])[source, rows] & ~flat[:, None]
     floor = max(tol, 1e-9)
-    checks = [(family.component_offset(k, v), floor * family.coefficient_scale[k])
-              for k, v in cons.items()]
-    feasible = [x for x in candidates if all(abs(fn(x)) <= accept for fn, accept in checks)]
-    if not feasible:
-        reachable = {k: family.component_range(k) for k in cons}
-        raise InfeasibleConstraintError(
-            f"constraint {cons} unreachable; attainable ranges {reachable}", reachable
-        )
-
-    etas = [float(family.entropy(x)) for x in feasible]
-    best = max(etas)
+    with np.errstate(all="ignore"):  # x is +inf past each row's roots
+        for j, k in enumerate(comps):
+            fn = family.component_offset(k, targets[:, j, None])
+            keep &= np.abs(fn(x)) <= floor * family.coefficient_scale[k]
+    eta = np.full(x.shape, -np.inf)
+    eta[keep] = list(map(family.entropy, x[keep].tolist()))
+    best = eta.max(axis=1)
     # the candidates are sorted and already merged (consecutive roots are
     # over MERGE_RADIUS apart), and so is any subsequence of them
-    winners = tuple(x for x, e in zip(feasible, etas) if e >= best - tol)
-    return MaximizerSet(cons, best, winners, len(winners))
+    return best, x, keep & (eta >= best[:, None] - tol), flat
+
+
+def constrained_entropy_max(family: ErgodicFamily, constraint, tol: float = 1e-9) -> MaximizerSet:
+    """Maximize eta(m) subject to the specified density components: the
+    one-row case of ``_maximize_stack``. All global maximizers within ``tol``
+    of the optimum are returned, merged within MERGE_RADIUS. Flat optima come
+    back with multiplicity inf and the interval endpoints. Raises
+    InfeasibleConstraintError (listing the reachable ranges) when no
+    polarization meets the constraint.
+    """
+    cons = normalize_constraint(family, constraint)
+    comps = tuple(sorted(cons))
+    best, x, winners, flat = _maximize_stack(family, comps, [[cons[k] for k in comps]], tol)
+    if flat[0]:
+        return _continuum_maximum(family, cons, tol)
+    maximizers = tuple(x[0, winners[0]].tolist())
+    if not maximizers:
+        raise _unreachable(family, cons)
+    return MaximizerSet(cons, float(best[0]), maximizers, len(maximizers))
 
 
 def _continuum_maximum(family: ErgodicFamily, cons: dict, tol: float) -> MaximizerSet:
@@ -344,20 +378,19 @@ def entropy_curve(family: ErgodicFamily, grid, tol: float = 1e-9) -> CurveSample
     if any(sorted(c) != comps for c in normalized):
         raise UsageError("all grid points must constrain the same components")
 
-    points, values = [], []
-    for cons in normalized:
-        try:
-            result = constrained_entropy_max(family, cons, tol)
-        except InfeasibleConstraintError as exc:
-            warnings.warn(f"skipping infeasible grid point {cons}: {exc}",
-                          InfeasibleGridPointWarning, stacklevel=2)
-            continue
-        points.append([cons[k] for k in comps])
-        values.append(result.entropy_value)
-    if not points:
+    targets = np.array([[c[k] for k in comps] for c in normalized])
+    values, _, winners, flat = _maximize_stack(family, tuple(comps), targets, tol)
+    for i in np.flatnonzero(flat):
+        values[i] = _continuum_maximum(family, normalized[i], tol).entropy_value
+    feasible = flat | winners.any(axis=1)
+    for i in np.flatnonzero(~feasible):
+        warnings.warn(f"skipping infeasible grid point {normalized[i]}: "
+                      f"{_unreachable(family, normalized[i])}",
+                      InfeasibleGridPointWarning, stacklevel=2)
+    if not feasible.any():
         raise InfeasibleConstraintError("every grid point was infeasible")
-    points = np.asarray(points)
-    values = np.asarray(values)
+    points = targets[feasible]
+    values = values[feasible]
     if len(comps) == 1:
         order = np.argsort(points[:, 0])
         points, values = points[order], values[order]
