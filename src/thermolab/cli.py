@@ -246,11 +246,8 @@ class ArtifactWriter:
         for kind, name, extra, payload in self.pending:
             path = self.out_dir / name
             if kind == "csv":
-                with path.open("w") as fh:
-                    fh.write(self._header(echo))
-                    fh.write(",".join(extra) + "\n")
-                    for row in payload:
-                        fh.write(",".join(_cell(v) for v in row) + "\n")
+                body = "".join([",".join(map(_cell, row)) + "\n" for row in payload])
+                path.write_text(self._header(echo) + ",".join(extra) + "\n" + body)
                 rows = len(payload)
             elif kind == "curve_csv":
                 meta = dict(payload.metadata)

@@ -353,7 +353,12 @@ def kms_theta_discrimination(family: ObservableFamily, theta_1, theta_2,
 
 def default_probes(family: ObservableFamily, seed: int, times) -> list:
     """Site-0 Pauli probes plus one seeded random hermitian, at each time.
-    Past the residuals' dimension cap, ResourceError before any probe is built."""
+    Past the residuals' dimension cap, ResourceError before any probe is built.
+
+    On a diagonal family the (sz@0, sx@0) pair tests nothing: sz is diagonal
+    in the product basis and sx has a zero diagonal, so every cross weight
+    vanishes and its residual is exactly 0 (as in all 9 such rows of
+    configs/kms_ising.cfg's residuals.csv)."""
     _check_dims(family)
     n = family.region.size
     rng = np.random.default_rng(seed)

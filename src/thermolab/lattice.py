@@ -5,6 +5,9 @@ Each family is a finite set of commuting hermitian observables
 The built-in models are all diagonal in the product sigma_z basis, so they
 are stored as diagonal vectors; dense storage is used for the one
 non-commuting extra (transverse-field chain, a single-observable family).
+A dense observable must commute with the global spin flip prod sigma_x, as
+the transverse chain does on both boundaries; it is diagonalized in its two
+flip-parity blocks of dimension 2^(N-1), in one stacked solve.
 Only this module reads that storage: other modules see a family through its
 cached spectral form, the joint level table (``levels``) or the levels with
 the basis they live in (``level_view``).
@@ -149,12 +152,13 @@ class ObservableFamily:
     """Commuting hermitian observables on a region's spin space.
 
     Observables are stored either as diagonal vectors (all built-in models)
-    or as one dense hermitian matrix (the transverse-field chain). This class
-    is the only code that reads the storage: every spectral consumer goes
-    through :meth:`levels`, :meth:`level_view`, :meth:`level_energies` or
-    :meth:`control_generator`. The arrays are kept read-only, so a family can
-    be shared between sweeps and threads. ``spec`` records the generating
-    model when the family came out of :func:`build_model`.
+    or as one dense hermitian matrix that commutes with the global spin flip
+    (the transverse-field chain). This class is the only code that reads the
+    storage: every spectral consumer goes through :meth:`levels`,
+    :meth:`level_view`, :meth:`level_energies` or :meth:`control_generator`.
+    The arrays are kept read-only, so a family can be shared between sweeps
+    and threads. ``spec`` records the generating model when the family came
+    out of :func:`build_model`.
     """
 
     def __init__(self, region: Region, labels, diagonals=None, matrices=None,
@@ -185,6 +189,9 @@ class ObservableFamily:
                     raise UsageError("observables must be hermitian")
         if not shapes_ok:
             raise UsageError(f"observable shape mismatch for dimension {dim}")
+        if self.dense is not None and not all(np.array_equal(m, m[::-1, ::-1])
+                                              for m in self.dense):
+            raise UsageError("a dense observable must commute with the global spin flip")
         if n == 0:
             raise UsageError("family needs at least one observable")
         if len(self.labels) != n:
@@ -195,13 +202,22 @@ class ObservableFamily:
 
         Diagonal families are grouped exactly: equal quantum numbers give
         bitwise-equal floats, and the basis is the product basis (None). The
-        dense family has one level per eigenvalue; its eigenvectors are
-        computed only when ``vectors`` is set, the basis is None otherwise.
+        dense family has one level per eigenvalue, in ascending order; its
+        eigenvectors are computed only when ``vectors`` is set, the basis is
+        None otherwise.
 
         Grouping is a stable lexicographic sort of the states (first
         observable first) with a level break wherever neighbours differ:
         ``np.unique(..., axis=0)``'s rows, counts and index without its sort
         of structured rows. A level takes the values of its lowest state.
+
+        The dense observable commutes with the global flip prod sigma_x, which
+        maps index i to dim - 1 - i, so it splits into an even and an odd
+        block on the states (|i> +- |dim-1-i>)/sqrt(2), i < dim/2. With
+        near = H[:half, :half] and far[i, j] = H[i, dim-1-j], the blocks are
+        near + far and near - far, solved in one stacked call. Eigenvalues of
+        both blocks are merged by a stable sort; block eigenvector v becomes
+        v/sqrt(2) on the lower half and +-v/sqrt(2), reversed, on the upper.
         """
         if self.is_diagonal:
             order = np.lexsort(self.diagonals[::-1])
@@ -215,11 +231,20 @@ class ObservableFamily:
             index[order] = np.cumsum(breaks) - 1
             rows = np.stack([column[starts] for column in columns], axis=1)
             return rows, np.log(np.diff(starts, append=self.dim)), index, None
+        m, half = self.dense[0], self.dim // 2
+        near, far = m[:half, :half], m[:half, ::-1][:, :half]
+        blocks = np.stack([near + far, near - far])
         if vectors:
-            lam, vec = np.linalg.eigh(self.dense[0])
+            lam, vec = np.linalg.eigh(blocks)
         else:
-            lam, vec = np.linalg.eigvalsh(self.dense[0]), None
-        return lam[:, None], np.zeros(self.dim), np.arange(self.dim), vec
+            lam, vec = np.linalg.eigvalsh(blocks), None
+        lam = lam.ravel()
+        order = np.argsort(lam, kind="stable")
+        if vectors:
+            lower = np.concatenate(vec * np.sqrt(0.5), axis=1)
+            parity = np.repeat([1.0, -1.0], half)
+            vec = np.concatenate([lower, (lower * parity)[::-1]])[:, order]
+        return lam[order][:, None], np.zeros(self.dim), np.arange(self.dim), vec
 
     def levels(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct joint eigenvalue rows and the log of their multiplicities.
@@ -242,10 +267,11 @@ class ObservableFamily:
         """The joint levels together with the level of each basis vector.
 
         Diagonal families keep the product basis, with each state's level
-        index. The dense family is diagonalized once; each eigenvector is a
-        level of its own. Computed on first use and kept, apart from
-        :meth:`levels`, so pressure sweeps never pay for the eigenvectors;
-        two threads asking at once at worst both compute it.
+        index. The dense family is diagonalized once, in its two flip-parity
+        blocks; each eigenvector, assembled back into a dense column of the
+        product basis, is a level of its own. Computed on first use and kept,
+        apart from :meth:`levels`, so pressure sweeps never pay for the
+        eigenvectors; two threads asking at once at worst both compute it.
         """
         if self._level_view is None:
             self._level_view = LevelView(*_frozen(self._spectrum(vectors=True)))
