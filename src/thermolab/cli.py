@@ -1,6 +1,6 @@
 """Experiment orchestration: configs in, CSV/JSON artifacts plus manifest out.
 
-Configs are plain-text ``key = value`` lines ('#' starts a comment). Every
+Configs are plain-text ``key = value`` lines, read by :mod:`.config`. Every
 artifact carries its seed and config echo in '#' header lines; reruns with
 the same config and seed produce byte-identical files except for the
 ``# generated=<timestamp>`` line. Results of sweep points are written in
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -29,6 +28,8 @@ from .completeness import (
     mean_field_pressure,
     pressure_slope_gap,
 )
+# callers import Config and _parse_number_list from here too
+from .config import Config, _decimal_range, _decimals, _parse_number_list  # noqa: F401
 from .convex import CurveSamples, biconjugate, conjugate, tangent_set
 from .errors import ConfigError, ThermolabError
 from .gibbs import pressure_limit, release_families
@@ -40,176 +41,7 @@ from .kms import (
     kms_smeared_residual,
     release_folds,
 )
-from .lattice import MODEL_KINDS, ModelSpec, build_model
-
-# Longest list a lo:hi:step range may expand to.
-MAX_RANGE_POINTS = 10**6
-
-SUBCOMMANDS = ("pressure", "entropy-curve", "legendre", "completeness",
-               "kms-verify", "diff-test")
-
-
-class Config:
-    """key=value config with typed access and unused-key detection."""
-
-    def __init__(self, entries: dict, source: str = "<config>"):
-        self.entries = entries  # key -> (raw value, line number)
-        self.source = source
-        self.consumed: dict = {}
-
-    @classmethod
-    def load(cls, path) -> "Config":
-        entries: dict = {}
-        text = Path(path).read_text()
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError("expected 'key = value'", line=lineno)
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not key:
-                raise ConfigError("empty key", line=lineno)
-            if key in entries:
-                raise ConfigError("duplicate key", key=key, line=lineno)
-            entries[key] = (value, lineno)
-        return cls(entries, str(path))
-
-    def _take(self, key: str, required: bool):
-        if key not in self.entries:
-            if required:
-                raise ConfigError("missing required key", key=key)
-            return None
-        value, _ = self.entries[key]
-        self.consumed[key] = value
-        return value
-
-    def get_str(self, key: str, default: str | None = None, required: bool = False,
-                choices=None) -> str | None:
-        value = self._take(key, required)
-        if value is None:
-            value = default
-        if value is not None and choices and value not in choices:
-            raise ConfigError(f"value {value!r} not in {sorted(choices)}",
-                              key=key, line=self._line(key))
-        return value
-
-    def get_float(self, key: str, default=None, required: bool = False,
-                  positive: bool = False):
-        value = self._take(key, required)
-        if value is None:
-            return default
-        try:
-            number = float(value)
-        except ValueError:
-            raise ConfigError(f"cannot parse {value!r} as a number",
-                              key=key, line=self._line(key)) from None
-        if positive and not 0.0 < number < math.inf:
-            raise ConfigError(f"expected a positive finite number, got {value!r}",
-                              key=key, line=self._line(key))
-        return number
-
-    def get_int(self, key: str, default=None, required: bool = False):
-        value = self._take(key, required)
-        if value is None:
-            return default
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"cannot parse {value!r} as an integer",
-                              key=key, line=self._line(key)) from None
-
-    def get_floats(self, key: str, default=None, required: bool = False):
-        value = self._take(key, required)
-        if value is None:
-            return default
-        try:
-            return _parse_number_list(value)
-        except ValueError as exc:
-            raise ConfigError(str(exc), key=key, line=self._line(key)) from None
-
-    def get_ints(self, key: str):
-        """A required list of integers (see ``_parse_number_list``)."""
-        floats = self.get_floats(key, required=True)
-        if not all(math.isfinite(x) for x in floats):
-            raise ConfigError("expected finite integers", key=key, line=self._line(key))
-        ints = [int(round(x)) for x in floats]
-        if any(abs(i - x) > 1e-9 for i, x in zip(ints, floats)):
-            raise ConfigError("expected integers", key=key, line=self._line(key))
-        return ints
-
-    def _line(self, key: str):
-        return self.entries[key][1] if key in self.entries else None
-
-    def finalize(self):
-        unused = sorted(set(self.entries) - set(self.consumed))
-        if unused:
-            key = unused[0]
-            raise ConfigError("unknown key", key=key, line=self._line(key))
-
-    def echo(self) -> dict:
-        return dict(sorted(self.consumed.items()))
-
-
-def _parse_number_list(text: str) -> list[float]:
-    """Scalars, comma lists, and lo:hi[:step] inclusive ranges (see
-    ``_decimal_range``)."""
-    text = text.strip()
-    if "," in text:
-        numbers = [float(tok) for tok in text.split(",") if tok.strip()]
-        if not numbers:
-            raise ValueError(f"no numbers in the list {text!r}")
-        return numbers
-    if ":" in text:
-        parts = [p.strip() for p in text.split(":")]
-        if len(parts) == 2:
-            parts.append("1")
-        if len(parts) != 3:
-            raise ValueError(f"bad range {text!r}")
-        lo, hi, step = (float(p) for p in parts)
-        return _decimal_range(lo, hi, step, max(_decimals(p) for p in parts))
-    return [float(text)]
-
-
-def _decimal_range(lo: float, hi: float, step: float, decimals: int) -> list[float]:
-    """lo, lo + step, ... up to hi inclusive, each point rounded to ``decimals``.
-
-    Rounding to the most decimals among lo, hi and step makes
-    ``-0.1:0.1:0.01`` pass through 0 exactly and ``0:0.3:0.1`` end at 0.3;
-    no point lies past hi. Bad bounds and ranges of over MAX_RANGE_POINTS
-    points raise ValueError before any point is built.
-    """
-    text = f"{lo!r}:{hi!r}:{step!r}"
-    if not all(math.isfinite(x) for x in (lo, hi, step)):
-        raise ValueError(f"range bounds must be finite in {text}")
-    if step <= 0 or hi < lo:
-        raise ValueError(f"bad range bounds {text}")
-    if (hi - lo) / step >= MAX_RANGE_POINTS:
-        raise ValueError(f"range {text} has over {MAX_RANGE_POINTS} points")
-    count = math.floor((hi - lo) / step + 0.5) + 1
-    if round(lo + (count - 1) * step, decimals) > hi:
-        count -= 1  # the span was rounded up to a whole step past hi
-    # "+ 0.0" turns a rounded -0.0 into 0.0
-    return [round(lo + k * step, decimals) + 0.0 for k in range(count)]
-
-
-def _decimals(token: str) -> int:
-    """Decimal places of a number token that float() accepts ("1.25e-1": 3)."""
-    mantissa, _, exponent = token.lower().partition("e")
-    return max(0, len(mantissa.partition(".")[2]) - int(exponent or 0))
-
-
-def _model_from_config(cfg: Config) -> ModelSpec:
-    kind = cfg.get_str("model", required=True, choices=MODEL_KINDS)
-    return ModelSpec(
-        kind,
-        J=cfg.get_float("J", 0.0),
-        h=cfg.get_float("h", 0.0),
-        hx=cfg.get_float("hx", 0.0),
-        boundary=cfg.get_str("boundary", "periodic", choices=("periodic", "open")),
-    )
-
+from .lattice import ModelSpec, build_model
 
 class ArtifactWriter:
     """Buffered single writer: runners queue artifacts, flush emits them.
@@ -296,7 +128,7 @@ def _theta_grid(cfg: Config, n_components: int) -> list[tuple]:
 
 
 def _run_pressure(cfg: Config, writer: ArtifactWriter, threads: int):
-    spec = _model_from_config(cfg)
+    spec = ModelSpec.from_config(cfg)
     sizes = cfg.get_ints("sizes")
     fit = cfg.get_str("fit", "affine", choices=("affine", "geometric"))
     thetas = _theta_grid(cfg, spec.n_observables)
@@ -324,27 +156,25 @@ def _run_pressure(cfg: Config, writer: ArtifactWriter, threads: int):
     return {}
 
 
-def _curve_from_config(cfg: Config, family: ErgodicFamily) -> CurveSamples:
-    mode = cfg.get_str("constrain", "joint", choices=("energy", "joint"))
+def _constraints_from_config(cfg: Config, family: ErgodicFamily, mode: str) -> list:
+    """Energy constraints from ``e_values``, or points of the family curve
+    from ``m_values``, as ``constrain`` (default ``mode``) asks."""
+    mode = cfg.get_str("constrain", mode, choices=("energy", "joint"))
     if mode == "energy":
-        e_values = cfg.get_floats("e_values", required=True)
-        grid = [{0: e} for e in e_values]
-    else:
-        m_values = cfg.get_floats("m_values", required=True)
-        grid = family_curve_constraints(family, m_values)
-    return entropy_curve(family, grid)
+        return [{0: e} for e in cfg.get_floats("e_values", required=True)]
+    return family_curve_constraints(family, cfg.get_floats("m_values", required=True))
 
 
 def _run_entropy_curve(cfg: Config, writer: ArtifactWriter, threads: int):
-    family = ErgodicFamily(_model_from_config(cfg))
-    curve = _curve_from_config(cfg, family)
+    family = ErgodicFamily(ModelSpec.from_config(cfg))
+    curve = entropy_curve(family, _constraints_from_config(cfg, family, "joint"))
     writer.write_curve("entropy_curve.csv", curve)
     return {}
 
 
 def _run_legendre(cfg: Config, writer: ArtifactWriter, threads: int):
-    family = ErgodicFamily(_model_from_config(cfg))
-    curve = _curve_from_config(cfg, family)
+    family = ErgodicFamily(ModelSpec.from_config(cfg))
+    curve = entropy_curve(family, _constraints_from_config(cfg, family, "joint"))
     thetas = _theta_grid(cfg, curve.ndim)
 
     def one(th):
@@ -375,15 +205,9 @@ def _run_legendre(cfg: Config, writer: ArtifactWriter, threads: int):
 
 
 def _run_completeness(cfg: Config, writer: ArtifactWriter, threads: int):
-    family = ErgodicFamily(_model_from_config(cfg))
-    mode = cfg.get_str("constrain", "energy", choices=("energy", "joint"))
+    family = ErgodicFamily(ModelSpec.from_config(cfg))
     tol = cfg.get_float("tol", 1e-9, positive=True)
-    if mode == "energy":
-        constraints = [{0: e} for e in cfg.get_floats("e_values", required=True)]
-    else:
-        constraints = family_curve_constraints(
-            family, cfg.get_floats("m_values", required=True)
-        )
+    constraints = _constraints_from_config(cfg, family, "energy")
     report = completeness_verdict(family, constraints, tol=tol)
     payload = {
         "verdict": report.verdict,
@@ -397,7 +221,7 @@ def _run_completeness(cfg: Config, writer: ArtifactWriter, threads: int):
 
 
 def _run_kms_verify(cfg: Config, writer: ArtifactWriter, threads: int):
-    spec = _model_from_config(cfg)
+    spec = ModelSpec.from_config(cfg)
     n = cfg.get_int("N", required=True)
     family = build_model(spec, spec.region(n))
     thetas = _theta_grid(cfg, spec.n_observables)
@@ -450,7 +274,7 @@ def _run_kms_verify(cfg: Config, writer: ArtifactWriter, threads: int):
 
 
 def _run_diff_test(cfg: Config, writer: ArtifactWriter, threads: int):
-    family = ErgodicFamily(_model_from_config(cfg))
+    family = ErgodicFamily(ModelSpec.from_config(cfg))
     theta0 = cfg.get_float("theta0", required=True)
     step = cfg.get_float("kink_step", 1e-4, positive=True)
     spacing = cfg.get_float("m_spacing", 1e-3, positive=True)
@@ -533,6 +357,7 @@ _RUNNERS = {
     "kms-verify": _run_kms_verify,
     "diff-test": _run_diff_test,
 }
+SUBCOMMANDS = tuple(_RUNNERS)
 
 
 def run_experiment(subcommand: str, config_path, out_dir, seed: int = 0,

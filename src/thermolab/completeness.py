@@ -64,7 +64,6 @@ class ErgodicFamily:
             raise UsageError(f"no product-state family for model kind {model.kind!r}")
         self.model = model
         self._scan: tuple | None = None
-        self._segments: dict | None = None
         # max(1, |a|, |b|, |c|) per component: it scales the root tolerance,
         # and is exactly 1 for |J|, |h| <= 1
         self.coefficient_scale = tuple(max(1.0, *map(abs, self.component_coefficients(k)))
@@ -129,16 +128,12 @@ class ErgodicFamily:
         The closed-form root search does not use it; it stays as the
         vectorized split that ``TestMonotoneSegmentsReference`` pins.
         """
-        if self._segments is None:
-            self._segments = {}
-        if k not in self._segments:
-            _, q, _ = self._scan_arrays()
-            d = np.sign(np.diff(q[:, k]))
-            # a break wherever the direction flips between two nonzero steps
-            flips = (d[1:] != 0) & (d[:-1] != 0) & (d[1:] != d[:-1])
-            breaks = [0, *(np.nonzero(flips)[0] + 1).tolist(), len(d)]
-            self._segments[k] = list(zip(breaks[:-1], breaks[1:]))
-        return self._segments[k]
+        _, q, _ = self._scan_arrays()
+        d = np.sign(np.diff(q[:, k]))
+        # a break wherever the direction flips between two nonzero steps
+        flips = (d[1:] != 0) & (d[:-1] != 0) & (d[1:] != d[:-1])
+        breaks = [0, *(np.nonzero(flips)[0] + 1).tolist(), len(d)]
+        return list(zip(breaks[:-1], breaks[1:]))
 
     def component_coefficients(self, k: int) -> tuple[float, float, float]:
         """(a, b, c) with q_k(m) = a m^2 + b m + c. Zero coefficients are

@@ -1,0 +1,171 @@
+"""Plain-text experiment configs: the package's one ``key = value`` reader.
+
+A config is one ``key = value`` pair per line; '#' starts a comment and
+blank lines are skipped. Values are read through typed getters that name
+the key and line of anything they cannot read, and every key the run does
+not read is refused by :meth:`Config.finalize`.
+"""
+
+from __future__ import annotations
+
+import math
+from pathlib import Path
+
+from .errors import ConfigError
+
+# Longest list a lo:hi:step range may expand to.
+MAX_RANGE_POINTS = 10**6
+
+
+class Config:
+    """key=value config with typed access and unused-key detection."""
+
+    def __init__(self, entries: dict, source: str = "<config>"):
+        self.entries = entries  # key -> (raw value, line number)
+        self.source = source
+        self.consumed: dict = {}
+
+    @classmethod
+    def parse(cls, text: str, source: str = "<config>") -> "Config":
+        entries: dict = {}
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError("expected 'key = value'", line=lineno)
+            key, _, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            if not key:
+                raise ConfigError("empty key", line=lineno)
+            if key in entries:
+                raise ConfigError("duplicate key", key=key, line=lineno)
+            entries[key] = (value, lineno)
+        return cls(entries, source)
+
+    @classmethod
+    def load(cls, path) -> "Config":
+        return cls.parse(Path(path).read_text(), str(path))
+
+    def _take(self, key: str, required: bool):
+        if key not in self.entries:
+            if required:
+                raise ConfigError("missing required key", key=key)
+            return None
+        value, _ = self.entries[key]
+        self.consumed[key] = value
+        return value
+
+    def get_str(self, key: str, default: str | None = None, required: bool = False,
+                choices=None) -> str | None:
+        value = self._take(key, required)
+        if value is None:
+            value = default
+        if value is not None and choices and value not in choices:
+            raise ConfigError(f"value {value!r} not in {sorted(choices)}",
+                              key=key, line=self._line(key))
+        return value
+
+    def get_float(self, key: str, default=None, required: bool = False,
+                  positive: bool = False):
+        value = self._take(key, required)
+        if value is None:
+            return default
+        try:
+            number = float(value)
+        except ValueError:
+            raise ConfigError(f"cannot parse {value!r} as a number",
+                              key=key, line=self._line(key)) from None
+        if positive and not 0.0 < number < math.inf:
+            raise ConfigError(f"expected a positive finite number, got {value!r}",
+                              key=key, line=self._line(key))
+        return number
+
+    def get_int(self, key: str, default=None, required: bool = False):
+        value = self._take(key, required)
+        if value is None:
+            return default
+        try:
+            return int(value)
+        except ValueError:
+            raise ConfigError(f"cannot parse {value!r} as an integer",
+                              key=key, line=self._line(key)) from None
+
+    def get_floats(self, key: str, default=None, required: bool = False):
+        value = self._take(key, required)
+        if value is None:
+            return default
+        try:
+            return _parse_number_list(value)
+        except ValueError as exc:
+            raise ConfigError(str(exc), key=key, line=self._line(key)) from None
+
+    def get_ints(self, key: str):
+        """A required list of integers (see ``_parse_number_list``)."""
+        floats = self.get_floats(key, required=True)
+        if not all(math.isfinite(x) for x in floats):
+            raise ConfigError("expected finite integers", key=key, line=self._line(key))
+        ints = [int(round(x)) for x in floats]
+        if any(abs(i - x) > 1e-9 for i, x in zip(ints, floats)):
+            raise ConfigError("expected integers", key=key, line=self._line(key))
+        return ints
+
+    def _line(self, key: str):
+        return self.entries[key][1] if key in self.entries else None
+
+    def finalize(self):
+        unused = sorted(set(self.entries) - set(self.consumed))
+        if unused:
+            key = unused[0]
+            raise ConfigError("unknown key", key=key, line=self._line(key))
+
+    def echo(self) -> dict:
+        return dict(sorted(self.consumed.items()))
+
+
+def _parse_number_list(text: str) -> list[float]:
+    """Scalars, comma lists, and lo:hi[:step] inclusive ranges (see
+    ``_decimal_range``)."""
+    text = text.strip()
+    if "," in text:
+        numbers = [float(tok) for tok in text.split(",") if tok.strip()]
+        if not numbers:
+            raise ValueError(f"no numbers in the list {text!r}")
+        return numbers
+    if ":" in text:
+        parts = [p.strip() for p in text.split(":")]
+        if len(parts) == 2:
+            parts.append("1")
+        if len(parts) != 3:
+            raise ValueError(f"bad range {text!r}")
+        lo, hi, step = (float(p) for p in parts)
+        return _decimal_range(lo, hi, step, max(_decimals(p) for p in parts))
+    return [float(text)]
+
+
+def _decimal_range(lo: float, hi: float, step: float, decimals: int) -> list[float]:
+    """lo, lo + step, ... up to hi inclusive, each point rounded to ``decimals``.
+
+    Rounding to the most decimals among lo, hi and step makes
+    ``-0.1:0.1:0.01`` pass through 0 exactly and ``0:0.3:0.1`` end at 0.3;
+    no point lies past hi. Bad bounds and ranges of over MAX_RANGE_POINTS
+    points raise ValueError before any point is built.
+    """
+    text = f"{lo!r}:{hi!r}:{step!r}"
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise ValueError(f"range bounds must be finite in {text}")
+    if step <= 0 or hi < lo:
+        raise ValueError(f"bad range bounds {text}")
+    if (hi - lo) / step >= MAX_RANGE_POINTS:
+        raise ValueError(f"range {text} has over {MAX_RANGE_POINTS} points")
+    count = math.floor((hi - lo) / step + 0.5) + 1
+    if round(lo + (count - 1) * step, decimals) > hi:
+        count -= 1  # the span was rounded up to a whole step past hi
+    # "+ 0.0" turns a rounded -0.0 into 0.0
+    return [round(lo + k * step, decimals) + 0.0 for k in range(count)]
+
+
+def _decimals(token: str) -> int:
+    """Decimal places of a number token that float() accepts ("1.25e-1": 3)."""
+    mantissa, _, exponent = token.lower().partition("e")
+    return max(0, len(mantissa.partition(".")[2]) - int(exponent or 0))

@@ -34,6 +34,9 @@ CONVEX = "convex"
 # Abscissae closer than this (relative to the coordinate scale) are treated
 # as coincident when forming difference quotients.
 _ABSCISSA_FLOOR = 1e-13
+# Conjugate objectives within this fraction of max(1, |value|) of the best
+# one are all reported as attaining it.
+_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -168,25 +171,15 @@ class CurveSamples:
     def axes(self) -> list[np.ndarray] | None:
         """Per-axis sorted unique values if the grid is a Cartesian product.
 
-        Returns None when the samples do not form a full product grid.
+        Returns None when the samples do not form a full product grid. The
+        rows are pairwise distinct and each lies in the product of the
+        per-axis values, so they fill it exactly when the counts agree.
         """
-        if self._axes_cache:
-            return self._axes_cache[0]
-        uniques = [_distinct(self.grid[:, k]) for k in range(self.ndim)]
-        total = 1
-        for u in uniques:
-            total *= len(u)
-        result = None
-        if total == self.npoints:
-            mesh = np.stack(
-                [a.ravel() for a in np.meshgrid(*uniques, indexing="ij")], axis=-1
-            )
-            order_self = np.lexsort(self.grid.T[::-1])
-            order_mesh = np.lexsort(mesh.T[::-1])
-            if np.array_equal(self.grid[order_self], mesh[order_mesh]):
-                result = uniques
-        self._axes_cache = (result,)
-        return result
+        if not self._axes_cache:
+            uniques = [_distinct(self.grid[:, k]) for k in range(self.ndim)]
+            product = math.prod(map(len, uniques)) == self.npoints
+            self._axes_cache = (uniques if product else None,)
+        return self._axes_cache[0]
 
     def _axis_table(self, k: int) -> tuple:
         if k not in self._lines:
@@ -359,10 +352,10 @@ def conjugate(f: CurveSamples, x) -> float:
     return value
 
 
-def conjugate_maximizers(f: CurveSamples, x, tie_tol: float = 1e-12):
+def conjugate_maximizers(f: CurveSamples, x):
     """Conjugate value together with all attaining grid indices.
 
-    Ties within ``tie_tol * max(1, |value|)`` are all reported; multiple
+    Ties within ``_TIE_TOL * max(1, |value|)`` are all reported; multiple
     attaining points mark a flat piece of the conjugate (phase coexistence in
     the thermodynamic reading).
     """
@@ -377,7 +370,7 @@ def conjugate_maximizers(f: CurveSamples, x, tie_tol: float = 1e-12):
     else:
         objective = f.values + f.grid @ x
         best = float(np.min(objective))
-    attain = np.nonzero(np.abs(objective - best) <= tie_tol * max(1.0, abs(best)))[0]
+    attain = np.nonzero(np.abs(objective - best) <= _TIE_TOL * max(1.0, abs(best)))[0]
     return best, attain
 
 

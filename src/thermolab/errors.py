@@ -40,8 +40,9 @@ class NumericRangeError(ThermolabError):
     """A guarded exponential or trace left the representable range."""
 
 
-class ConfigError(ThermolabError, ValueError):
-    """Experiment config file could not be parsed or validated."""
+class ConfigError(UsageError):
+    """Experiment config could not be parsed or validated: a misuse, so a
+    ``UsageError`` too."""
 
     def __init__(self, message, key=None, line=None):
         detail = message

@@ -9,8 +9,13 @@ state for it, which shows up numerically as the vanishing of
                   - int f(t-i) omega(B alpha_t(A)) dt |
 
 with omega the psi_theta expectation. Both sides of each identity are
-evaluated through their own exponent assembly, so the residual measures the
-actual cancellation rather than restating one formula twice.
+evaluated through their own exponent assembly. On a dense family (the
+transverse chain) the pointwise residual then measures the actual
+cancellation. On the built-in diagonal families it does not: there
+-lam_m - (lam_l - lam_m) rounds back to -lam_l, so both pointwise sums have
+the same bits and the residual reads exactly 0 for every probe pair,
+right or wrong. There the smeared residual and the dense family are the
+real checks.
 
 Spectrally, each two-point function only needs the weight that A and B
 carry between each pair of joint levels (l, m), at the Bohr frequency
@@ -49,6 +54,8 @@ _RESIDUAL_DIM_CAP = 2**10
 FOLD_MEMO_SIZE = 8
 # Rows of A~ per strip when the cross table is folded over level pairs.
 _FOLD_ROWS = 64
+# A Gaussian test function is cut off where |f(t)| and |f(t - i)| fall below this.
+_SUPPORT_EPS = 1e-14
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -92,12 +99,11 @@ def site_pauli(which: str, site: int, n_sites: int) -> TestOperator:
     return TestOperator(lift_site_operator(_PAULI[which], site, n_sites), f"s{which}@{site}")
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, label: str = "random",
-                     norm: float = 1.0) -> TestOperator:
-    """Random hermitian probe scaled to the given spectral norm."""
+def random_hermitian(dim: int, rng: np.random.Generator, label: str = "random") -> TestOperator:
+    """Random hermitian probe scaled to spectral norm 1."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (g + g.conj().T) / 2.0
-    h *= norm / max(np.max(np.abs(np.linalg.eigvalsh(h))), 1e-30)
+    h *= 1.0 / max(np.max(np.abs(np.linalg.eigvalsh(h))), 1e-30)
     return TestOperator(h, label)
 
 
@@ -116,21 +122,21 @@ class GaussianTestFunction:
         z = np.asarray(ts, dtype=float) + 1j * imag_shift
         return np.exp(-(z * z) / (2.0 * self.sigma_w**2))
 
-    def support_radius(self, eps: float = 1e-14) -> float:
-        """|f(t)| and |f(t - i)| both fall below eps outside [-r, r]."""
-        return math.sqrt(1.0 + 2.0 * self.sigma_w**2 * math.log(1.0 / eps))
+    def support_radius(self) -> float:
+        """|f(t)| and |f(t - i)| both fall below _SUPPORT_EPS outside [-r, r]."""
+        return math.sqrt(1.0 + 2.0 * self.sigma_w**2 * math.log(1.0 / _SUPPORT_EPS))
 
 
 def _rotate(op: np.ndarray, vec: np.ndarray | None) -> np.ndarray:
     return op if vec is None else vec.conj().T @ op @ vec
 
 
-def _check_dims(family: ObservableFamily, *ops: TestOperator, cap: int = _RESIDUAL_DIM_CAP):
+def _check_dims(family: ObservableFamily, *ops: TestOperator):
     for op in ops:
         if op.dim != family.dim:
             raise UsageError(f"operator {op.label} has dimension {op.dim}, family {family.dim}")
-    if family.dim > cap:
-        raise ResourceError(f"residual checks are capped at dimension {cap}")
+    if family.dim > _RESIDUAL_DIM_CAP:
+        raise ResourceError(f"residual checks are capped at dimension {_RESIDUAL_DIM_CAP}")
 
 
 def evolve(a: TestOperator, family: ObservableFamily, theta, t: float) -> TestOperator:
@@ -355,10 +361,12 @@ def default_probes(family: ObservableFamily, seed: int, times) -> list:
     """Site-0 Pauli probes plus one seeded random hermitian, at each time.
     Past the residuals' dimension cap, ResourceError before any probe is built.
 
-    On a diagonal family the (sz@0, sx@0) pair tests nothing: sz is diagonal
-    in the product basis and sx has a zero diagonal, so every cross weight
-    vanishes and its residual is exactly 0 (as in all 9 such rows of
-    configs/kms_ising.cfg's residuals.csv)."""
+    On a diagonal family the pointwise residual of every pair reads exactly
+    0, whatever the probes (see the module docstring): all 27 rows of
+    configs/kms_ising.cfg's residuals.csv do. The (sz@0, sx@0) pair has no
+    cross weight at all there, as sz is diagonal in the product basis and sx
+    has a zero diagonal; the other two pairs test something only through the
+    smeared residual."""
     _check_dims(family)
     n = family.region.size
     rng = np.random.default_rng(seed)

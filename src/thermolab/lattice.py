@@ -18,10 +18,11 @@ in the most significant bit; bit 0 means sigma_z = +1, bit 1 means -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import Config
 from .convex import as_components
 from .errors import ResourceError, UsageError
 
@@ -32,7 +33,17 @@ COMPLETE_GRAPH = "complete_graph"
 SINGLE_SITES = "single_sites"
 
 _GEOMETRIES = (CHAIN, COMPLETE_GRAPH, SINGLE_SITES)
-MODEL_KINDS = ("free_spins", "ising_chain", "curie_weiss", "transverse_ising_chain")
+_BOUNDARIES = ("periodic", "open")
+
+# The one table of a model kind's facts: kind -> (geometry, observable labels,
+# the ModelSpec fields it reads, which are also its config keys besides model).
+_KINDS = {
+    "free_spins": (SINGLE_SITES, ("energy",), ()),
+    "ising_chain": (CHAIN, ("energy", "magnetization"), ("J", "h", "boundary")),
+    "curie_weiss": (COMPLETE_GRAPH, ("energy", "magnetization"), ("J", "h")),
+    "transverse_ising_chain": (CHAIN, ("energy",), ("J", "hx", "boundary")),
+}
+MODEL_KINDS = tuple(_KINDS)
 
 
 @dataclass(frozen=True)
@@ -49,7 +60,7 @@ class Region:
         if self.size < 1:
             raise UsageError(f"region needs at least one site, got {self.size}")
         if self.geometry == CHAIN:
-            if self.boundary not in ("periodic", "open"):
+            if self.boundary not in _BOUNDARIES:
                 raise UsageError(f"chain boundary must be periodic or open, got {self.boundary!r}")
         elif self.boundary is not None:
             raise UsageError(f"{self.geometry} takes no boundary condition")
@@ -67,7 +78,8 @@ class ModelSpec:
     kinds: free_spins (H = sum of number operators), ising_chain(J, h),
     curie_weiss(J, h) on the complete graph, and transverse_ising_chain(J, hx)
     which ships as a single-observable family because a transverse field
-    breaks [H, M] = 0.
+    breaks [H, M] = 0. A kind reads only its own fields (``_KINDS``); the
+    others keep their defaults.
     """
 
     kind: str
@@ -77,74 +89,54 @@ class ModelSpec:
     boundary: str = "periodic"
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
+        if self.kind not in _KINDS:
             raise UsageError(f"unknown model kind {self.kind!r}")
         for name in ("J", "h", "hx"):
             if not np.isfinite(getattr(self, name)):
                 raise UsageError(f"non-finite coupling {name}")
 
+    @classmethod
+    def from_config(cls, cfg: Config) -> "ModelSpec":
+        """The model named by ``model``, with the config keys its kind reads.
+        Any other model key is left unread, so ``Config.finalize`` refuses it."""
+        kind = cfg.get_str("model", required=True, choices=MODEL_KINDS)
+        fields = {}
+        for key in _KINDS[kind][2]:
+            if key == "boundary":
+                fields[key] = cfg.get_str(key, "periodic", choices=_BOUNDARIES)
+            else:
+                fields[key] = cfg.get_float(key, 0.0)
+        return cls(kind, **fields)
+
     def region(self, n_sites: int) -> Region:
-        if self.kind == "free_spins":
-            return Region(SINGLE_SITES, n_sites)
-        if self.kind == "curie_weiss":
-            return Region(COMPLETE_GRAPH, n_sites)
-        return Region(CHAIN, n_sites, self.boundary)
+        geometry = _KINDS[self.kind][0]
+        return Region(geometry, n_sites, self.boundary if geometry == CHAIN else None)
 
     @property
     def labels(self) -> tuple[str, ...]:
-        if self.kind in ("free_spins", "transverse_ising_chain"):
-            return ("energy",)
-        return ("energy", "magnetization")
+        return _KINDS[self.kind][1]
 
     @property
     def n_observables(self) -> int:
         return len(self.labels)
 
     def config_echo(self) -> dict:
-        echo = {"model": self.kind}
-        if self.kind in ("ising_chain", "curie_weiss", "transverse_ising_chain"):
-            echo["J"] = self.J
-        if self.kind in ("ising_chain", "curie_weiss"):
-            echo["h"] = self.h
-        if self.kind == "transverse_ising_chain":
-            echo["hx"] = self.hx
-        if self.kind in ("ising_chain", "transverse_ising_chain"):
-            echo["boundary"] = self.boundary
-        return echo
+        return {"model": self.kind, **{key: getattr(self, key) for key in _KINDS[self.kind][2]}}
 
 
 def parse_model_config(text: str) -> tuple[ModelSpec, int | None]:
     """Parse a plain-text model description into (ModelSpec, site count).
 
-    Accepts one ``key=value`` pair per line (or comma-separated), with '#'
-    comments: ``model=ising_chain``, ``J=1.0``, ``h=0.0``, ``N=10``,
-    ``boundary=periodic``. N is optional and returned separately since a
-    ModelSpec is size-free.
+    The experiment config format (:class:`Config`), with commas also
+    separating pairs: ``model=ising_chain, J=1.0, N=10``. Only the keys the
+    model kind reads are accepted, plus an optional N, returned separately
+    since a ModelSpec is size-free. Bad input raises ``ConfigError``, a
+    ``UsageError``.
     """
-    fields: dict[str, str] = {}
-    for lineno, raw in enumerate(text.replace(",", "\n").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"expected key=value on line {lineno}, got {line!r}")
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    if "model" not in fields:
-        raise UsageError("missing 'model=' entry")
-    try:
-        spec = ModelSpec(
-            fields.pop("model"),
-            J=float(fields.pop("J", 0.0)),
-            h=float(fields.pop("h", 0.0)),
-            hx=float(fields.pop("hx", 0.0)),
-            boundary=fields.pop("boundary", "periodic"),
-        )
-        n_sites = int(fields.pop("N")) if "N" in fields else None
-    except ValueError as exc:
-        raise UsageError(f"bad model config value: {exc}") from None
-    if fields:
-        raise UsageError(f"unknown model config keys {sorted(fields)}")
+    cfg = Config.parse(text.replace(",", "\n"))
+    spec = ModelSpec.from_config(cfg)
+    n_sites = cfg.get_int("N")
+    cfg.finalize()
     return spec, n_sites
 
 
@@ -463,9 +455,9 @@ def _split_defects(family: ObservableFamily) -> tuple[dict, tuple] | tuple[None,
     n = family.region.size
     na, nb = n // 2, n - n // 2
     sub_spec = spec
-    if spec.kind in ("ising_chain", "transverse_ising_chain"):
+    if family.region.geometry == CHAIN:
         # halves of a chain are open sub-chains regardless of the parent's boundary
-        sub_spec = ModelSpec(spec.kind, spec.J, spec.h, spec.hx, boundary="open")
+        sub_spec = replace(spec, boundary="open")
     fam_a = build_model(sub_spec, sub_spec.region(na))
     fam_b = build_model(sub_spec, sub_spec.region(nb))
     defects = {}
