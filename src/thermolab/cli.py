@@ -1,6 +1,8 @@
 """Experiment orchestration: configs in, CSV/JSON artifacts plus manifest out.
 
-Configs are plain-text ``key = value`` lines, read by :mod:`.config`. Every
+Configs are plain-text ``key = value`` lines, read by :mod:`.config`. Each
+runner reads every key it needs and calls ``Config.finalize`` before its
+first solve, so a key no reader takes costs no computation. Every
 artifact carries its seed and config echo in '#' header lines; reruns with
 the same config and seed produce byte-identical files except for the
 ``# generated=<timestamp>`` line. Results of sweep points are written in
@@ -47,7 +49,8 @@ class ArtifactWriter:
     """Buffered single writer: runners queue artifacts, flush emits them.
 
     Flushing happens once the whole config has been consumed, so every CSV
-    header carries the complete config echo alongside the seed.
+    header carries the complete config echo alongside the seed. The output
+    directory is made by the flush, so a run that fails leaves none behind.
     """
 
     def __init__(self, out_dir: Path, seed: int):
@@ -75,6 +78,7 @@ class ArtifactWriter:
         return "\n".join(lines) + "\n"
 
     def flush(self, echo: dict):
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         for kind, name, extra, payload in self.pending:
             path = self.out_dir / name
             if kind == "csv":
@@ -132,6 +136,7 @@ def _run_pressure(cfg: Config, writer: ArtifactWriter, threads: int):
     sizes = cfg.get_ints("sizes")
     fit = cfg.get_str("fit", "affine", choices=("affine", "geometric"))
     thetas = _theta_grid(cfg, spec.n_observables)
+    cfg.finalize()
 
     # one stacked pressure_limit call per thread's contiguous chunk of the
     # grid; the chunks share each size's family through the memo. A run keeps
@@ -167,15 +172,20 @@ def _constraints_from_config(cfg: Config, family: ErgodicFamily, mode: str) -> l
 
 def _run_entropy_curve(cfg: Config, writer: ArtifactWriter, threads: int):
     family = ErgodicFamily(ModelSpec.from_config(cfg))
-    curve = entropy_curve(family, _constraints_from_config(cfg, family, "joint"))
+    constraints = _constraints_from_config(cfg, family, "joint")
+    cfg.finalize()
+    curve = entropy_curve(family, constraints)
     writer.write_curve("entropy_curve.csv", curve)
     return {}
 
 
 def _run_legendre(cfg: Config, writer: ArtifactWriter, threads: int):
     family = ErgodicFamily(ModelSpec.from_config(cfg))
-    curve = entropy_curve(family, _constraints_from_config(cfg, family, "joint"))
-    thetas = _theta_grid(cfg, curve.ndim)
+    constraints = _constraints_from_config(cfg, family, "joint")
+    # the curve's coordinates are the constrained components
+    thetas = _theta_grid(cfg, len(constraints[0]))
+    cfg.finalize()
+    curve = entropy_curve(family, constraints)
 
     def one(th):
         grid_value = conjugate(curve, th)
@@ -208,6 +218,7 @@ def _run_completeness(cfg: Config, writer: ArtifactWriter, threads: int):
     family = ErgodicFamily(ModelSpec.from_config(cfg))
     tol = cfg.get_float("tol", 1e-9, positive=True)
     constraints = _constraints_from_config(cfg, family, "energy")
+    cfg.finalize()
     report = completeness_verdict(family, constraints, tol=tol)
     payload = {
         "verdict": report.verdict,
@@ -223,13 +234,14 @@ def _run_completeness(cfg: Config, writer: ArtifactWriter, threads: int):
 def _run_kms_verify(cfg: Config, writer: ArtifactWriter, threads: int):
     spec = ModelSpec.from_config(cfg)
     n = cfg.get_int("N", required=True)
-    family = build_model(spec, spec.region(n))
     thetas = _theta_grid(cfg, spec.n_observables)
     times = cfg.get_floats("times", [0.0, 0.7, 2.3])
     seed = int(writer.seed)
     sigma_w = cfg.get_float("sigma_w", 2.0)
     smeared_per_theta = cfg.get_int("smeared_probes", 1)
+    cfg.finalize()
 
+    family = build_model(spec, spec.region(n))
     probes = default_probes(family, seed, times)
     family.level_view()  # built here, so the theta threads share one eigensolve
     theta_cols = [f"theta_{k}" for k in range(spec.n_observables)]
@@ -280,22 +292,22 @@ def _run_diff_test(cfg: Config, writer: ArtifactWriter, threads: int):
     spacing = cfg.get_float("m_spacing", 1e-3, positive=True)
     m_max = cfg.get_float("m_max", 0.97)
     theta1_values = cfg.get_floats("theta1_values", None)
+    cfg.finalize()
     if theta1_values and family.n_components == 1:
-        raise ConfigError(f"model {family.model.kind} has one control component, "
-                          "so there is no theta_1 to scan",
-                          key="theta1_values", line=cfg._line("theta1_values"))
+        raise cfg.error(f"model {family.model.kind} has one control component, "
+                        "so there is no theta_1 to scan", "theta1_values")
 
     # smoothness of the entropy surface along the family curve; the sweep is
     # padded two steps so every reported point has full two-interval stencils
     decimals = max(_decimals(repr(x)) for x in (m_max, spacing))
     edge = round(m_max + 2.0 * spacing, decimals)
     if not (m_max >= 0.0 and edge <= 1.0):
-        raise ConfigError(f"the padded sweep m_max + 2 * m_spacing = {edge!r} "
-                          "must lie in [0, 1]", key="m_max", line=cfg._line("m_max"))
+        raise cfg.error(f"the padded sweep m_max + 2 * m_spacing = {edge!r} "
+                        "must lie in [0, 1]", "m_max")
     try:
         m_values = _decimal_range(-edge, edge, spacing, decimals)
     except ValueError as exc:
-        raise ConfigError(str(exc), key="m_spacing", line=cfg._line("m_spacing")) from None
+        raise cfg.error(str(exc), "m_spacing") from None
     curve = entropy_curve(family, family_curve_constraints(family, m_values))
     # rows are picked by the sweep's m, not by a density column (free spins
     # have only (1 - m)/2). Some density of every family is strictly monotone
@@ -370,11 +382,8 @@ def run_experiment(subcommand: str, config_path, out_dir, seed: int = 0,
     start = time.monotonic()
     cfg = Config.load(config_path)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     writer = ArtifactWriter(out, seed)
     extras = _RUNNERS[subcommand](cfg, writer, threads)
-    cfg.finalize()
     writer.flush(cfg.echo())
 
     manifest = {

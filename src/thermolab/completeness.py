@@ -375,8 +375,8 @@ def entropy_curve(family: ErgodicFamily, grid, tol: float = 1e-9) -> CurveSample
 
     targets = np.array([[c[k] for k in comps] for c in normalized])
     values, _, winners, flat = _maximize_stack(family, tuple(comps), targets, tol)
-    for i in np.flatnonzero(flat):
-        values[i] = _continuum_maximum(family, normalized[i], tol).entropy_value
+    # a flat row's value is _continuum_maximum's, with no scan to build
+    values[flat] = family.entropy(0.0)
     feasible = flat | winners.any(axis=1)
     for i in np.flatnonzero(~feasible):
         warnings.warn(f"skipping infeasible grid point {normalized[i]}: "

@@ -2,8 +2,9 @@
 
 A config is one ``key = value`` pair per line; '#' starts a comment and
 blank lines are skipped. Values are read through typed getters that name
-the key and line of anything they cannot read, and every key the run does
-not read is refused by :meth:`Config.finalize`.
+the file, key and line of anything they cannot read, and every key the run
+does not read is refused by :meth:`Config.finalize`, which each runner calls
+before it computes anything.
 """
 
 from __future__ import annotations
@@ -27,21 +28,21 @@ class Config:
 
     @classmethod
     def parse(cls, text: str, source: str = "<config>") -> "Config":
-        entries: dict = {}
+        cfg = cls({}, source)
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError("expected 'key = value'", line=lineno)
+                raise cfg.error("expected 'key = value'", line=lineno)
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
             if not key:
-                raise ConfigError("empty key", line=lineno)
-            if key in entries:
-                raise ConfigError("duplicate key", key=key, line=lineno)
-            entries[key] = (value, lineno)
-        return cls(entries, source)
+                raise cfg.error("empty key", line=lineno)
+            if key in cfg.entries:
+                raise cfg.error("duplicate key", key, lineno)
+            cfg.entries[key] = (value, lineno)
+        return cfg
 
     @classmethod
     def load(cls, path) -> "Config":
@@ -50,7 +51,7 @@ class Config:
     def _take(self, key: str, required: bool):
         if key not in self.entries:
             if required:
-                raise ConfigError("missing required key", key=key)
+                raise self.error("missing required key", key)
             return None
         value, _ = self.entries[key]
         self.consumed[key] = value
@@ -62,8 +63,7 @@ class Config:
         if value is None:
             value = default
         if value is not None and choices and value not in choices:
-            raise ConfigError(f"value {value!r} not in {sorted(choices)}",
-                              key=key, line=self._line(key))
+            raise self.error(f"value {value!r} not in {sorted(choices)}", key)
         return value
 
     def get_float(self, key: str, default=None, required: bool = False,
@@ -74,11 +74,9 @@ class Config:
         try:
             number = float(value)
         except ValueError:
-            raise ConfigError(f"cannot parse {value!r} as a number",
-                              key=key, line=self._line(key)) from None
+            raise self.error(f"cannot parse {value!r} as a number", key) from None
         if positive and not 0.0 < number < math.inf:
-            raise ConfigError(f"expected a positive finite number, got {value!r}",
-                              key=key, line=self._line(key))
+            raise self.error(f"expected a positive finite number, got {value!r}", key)
         return number
 
     def get_int(self, key: str, default=None, required: bool = False):
@@ -88,8 +86,7 @@ class Config:
         try:
             return int(value)
         except ValueError:
-            raise ConfigError(f"cannot parse {value!r} as an integer",
-                              key=key, line=self._line(key)) from None
+            raise self.error(f"cannot parse {value!r} as an integer", key) from None
 
     def get_floats(self, key: str, default=None, required: bool = False):
         value = self._take(key, required)
@@ -98,26 +95,28 @@ class Config:
         try:
             return _parse_number_list(value)
         except ValueError as exc:
-            raise ConfigError(str(exc), key=key, line=self._line(key)) from None
+            raise self.error(str(exc), key) from None
 
     def get_ints(self, key: str):
         """A required list of integers (see ``_parse_number_list``)."""
         floats = self.get_floats(key, required=True)
         if not all(math.isfinite(x) for x in floats):
-            raise ConfigError("expected finite integers", key=key, line=self._line(key))
+            raise self.error("expected finite integers", key)
         ints = [int(round(x)) for x in floats]
         if any(abs(i - x) > 1e-9 for i, x in zip(ints, floats)):
-            raise ConfigError("expected integers", key=key, line=self._line(key))
+            raise self.error("expected integers", key)
         return ints
 
-    def _line(self, key: str):
-        return self.entries[key][1] if key in self.entries else None
+    def error(self, message: str, key: str | None = None, line: int | None = None):
+        """ConfigError led by this config's source; ``line`` defaults to the key's."""
+        if line is None and key in self.entries:
+            line = self.entries[key][1]
+        return ConfigError(f"{self.source}: {message}", key=key, line=line)
 
     def finalize(self):
         unused = sorted(set(self.entries) - set(self.consumed))
         if unused:
-            key = unused[0]
-            raise ConfigError("unknown key", key=key, line=self._line(key))
+            raise self.error("unknown key", unused[0])
 
     def echo(self) -> dict:
         return dict(sorted(self.consumed.items()))

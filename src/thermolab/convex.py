@@ -5,10 +5,11 @@ every operation here is defined for the piecewise-linear interpolant of the
 samples: conjugation (entropy density <-> reduced pressure), supporting-slope
 intervals (superdifferentials), concavity audits and the biconjugate hull.
 
-Evaluation points follow the stack convention of ``gibbs.finite_pressure``:
-``tangent_set`` takes one point of m coordinates or a (P, m) stack of them,
-and a stacked call answers for every row at once, with the bits of the
-row's own single-point call (a single point is the one-row case). Its
+This module owns the package's point convention, and ``gibbs`` follows it:
+``as_components`` reads one point (or a ``ControlVector``), ``as_stack`` a
+(P, n) stack of points, one point being its one-row case. A stacked call
+(``tangent_set``, ``gibbs.finite_pressure``, ``gibbs.pressure_limit``)
+answers every row with the bits of the row's own single-point call. Tangent
 stencils are array expressions over a per-axis table of each sample's
 neighbours one and two steps away.
 
@@ -20,7 +21,6 @@ log units (Boltzmann constant = 1).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -51,12 +51,10 @@ class ControlVector:
     components: tuple[float, ...]
 
     def __post_init__(self):
-        comps = tuple(float(c) for c in self.components)
-        if len(comps) == 0:
+        comps = as_components(self.components)
+        if comps.size == 0:
             raise UsageError("control vector needs at least one component")
-        if not all(math.isfinite(c) for c in comps):
-            raise DataError(f"non-finite control vector {comps}")
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "components", tuple(comps.tolist()))
 
     @property
     def beta(self) -> float:
@@ -90,22 +88,43 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return aux[keep]
 
 
-def as_components(theta, n: int | None = None) -> np.ndarray:
-    """Normalize a ControlVector or array-like to a float vector.
+def as_components(x, n: int | None = None) -> np.ndarray:
+    """One point, a ControlVector or an array-like, as a float vector.
 
-    When ``n`` is given the length is checked against it.
+    Checks that it is one-dimensional, then finite, then, when ``n`` is
+    given, that it has n coordinates.
     """
-    if isinstance(theta, ControlVector):
-        arr = theta.as_array()
+    if isinstance(x, ControlVector):
+        arr = x.as_array()
     else:
-        arr = np.atleast_1d(np.asarray(theta, dtype=float))
+        arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.ndim != 1:
-        raise UsageError(f"control vector must be one-dimensional, got shape {arr.shape}")
+        raise UsageError(f"a point must be one-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise DataError("non-finite control vector")
+        raise DataError("non-finite point")
     if n is not None and arr.size != n:
-        raise UsageError(f"expected {n} control components, got {arr.size}")
+        raise UsageError(f"expected {n} coordinates, got {arr.size}")
     return arr
+
+
+def as_stack(x, n: int) -> tuple[np.ndarray, bool]:
+    """Points as a (P, n) stack, and whether ``x`` was a single point.
+
+    A two-dimensional ``x`` is a stack of P >= 1 rows of n finite
+    coordinates; anything else is one point (see ``as_components``),
+    returned as a one-row stack.
+    """
+    stack = None if isinstance(x, ControlVector) else np.asarray(x, dtype=float)
+    if stack is None or stack.ndim < 2:
+        return as_components(x, n)[None, :], True
+    if stack.ndim != 2 or stack.shape[0] == 0:
+        raise UsageError(f"expected a (P, {n}) stack of points with P >= 1, "
+                         f"got shape {stack.shape}")
+    if stack.shape[1] != n:
+        raise UsageError(f"expected {n} coordinates, got {stack.shape[1]}")
+    if not np.all(np.isfinite(stack)):
+        raise DataError("non-finite point")
+    return stack, False
 
 
 class CurveSamples:
@@ -237,9 +256,7 @@ class CurveSamples:
 
     def index_of(self, point) -> int | None:
         """Index of the sample matching ``point``, or None."""
-        point = np.atleast_1d(np.asarray(point, dtype=float))
-        if point.shape != (self.ndim,):
-            raise UsageError(f"point has {point.size} coordinates, grid has {self.ndim}")
+        point = as_components(point, self.ndim)
         # max over coordinates of |grid - point|, one column at a time
         dist = np.abs(self.grid[:, 0] - point[0])
         for k in range(1, self.ndim):
@@ -252,15 +269,11 @@ class CurveSamples:
     # -- serialization ----------------------------------------------------
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# orientation={self.orientation}\n")
-        for key in sorted(self.metadata):
-            buf.write(f"# {key}={self.metadata[key]}\n")
-        cols = [f"q_{k}" for k in range(self.ndim)] + ["value"]
-        buf.write(",".join(cols) + "\n")
-        for row, v in zip(self.grid, self.values):
-            buf.write(",".join(repr(float(x)) for x in row) + "," + repr(float(v)) + "\n")
-        return buf.getvalue()
+        head = [f"# orientation={self.orientation}"]
+        head += [f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)]
+        head.append(",".join([f"q_{k}" for k in range(self.ndim)] + ["value"]))
+        rows = np.column_stack([self.grid, self.values]).tolist()
+        return "\n".join(head) + "\n" + "".join([",".join(map(repr, row)) + "\n" for row in rows])
 
     @classmethod
     def from_csv(cls, text: str) -> "CurveSamples":
@@ -359,11 +372,7 @@ def conjugate_maximizers(f: CurveSamples, x):
     attaining points mark a flat piece of the conjugate (phase coexistence in
     the thermodynamic reading).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (f.ndim,):
-        raise UsageError(f"dual point has {x.size} coordinates, expected {f.ndim}")
-    if not np.all(np.isfinite(x)):
-        raise DataError("non-finite dual point")
+    x = as_components(x, f.ndim)
     if f.orientation == CONCAVE:
         objective = f.values - f.grid @ x
         best = float(np.max(objective))
@@ -380,12 +389,11 @@ def support_defect(f: CurveSamples, q, theta) -> float:
     For concave samples this is ``max over q' of f(q') - f(q) - theta.(q'-q)``;
     a result <= tol means ``theta`` supports the graph at ``q``.
     """
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    q = as_components(q, f.ndim)
     i = f.index_of(q)
     if i is None:
         raise DomainError("support_defect requires q to be a grid sample")
-    rel = f.values - f.values[i] - (f.grid - q[None, :]) @ theta
+    rel = f.values - f.values[i] - (f.grid - q[None, :]) @ as_components(theta, f.ndim)
     if f.orientation == CONVEX:
         rel = -rel
     return float(np.max(rel))
@@ -492,18 +500,7 @@ def tangent_set(f: CurveSamples, q, tol: float | None = None) -> TangentSet:
     """
     if f.orientation != CONCAVE:
         raise UsageError("tangent_set expects concave-oriented samples")
-    points = np.asarray(q, dtype=float)
-    single = points.ndim < 2
-    if single:
-        points = np.atleast_1d(points)
-        if points.shape != (f.ndim,):
-            raise UsageError(f"point has {points.size} coordinates, grid has {f.ndim}")
-        points = points[None, :]
-    elif points.ndim != 2 or points.shape[0] == 0 or points.shape[1] != f.ndim:
-        raise UsageError(f"expected a (P, {f.ndim}) stack of points with P >= 1, "
-                         f"got shape {points.shape}")
-    if not np.all(np.isfinite(points)):
-        raise DataError("non-finite point")
+    points, single = as_stack(q, f.ndim)
 
     rows = f._row_index()
     at = np.array([rows.get(p, -1) for p in map(tuple, points.tolist())])

@@ -12,36 +12,36 @@ see ``ObservableFamily.levels``), which the built-in Ising and Curie-Weiss
 families shrink from 2^N states to O(N^2) rows. A family does not depend on
 theta, so a theta grid is one unit of work: ``finite_pressure`` and
 ``pressure_limit`` take a (G, k) stack of control vectors as well as a
-single one (the one-row case), a stacked ``finite_pressure`` is one
+single one (the one-row case), read by ``convex.as_stack`` under the
+package's stack convention. A stacked ``finite_pressure`` is one
 log-sum-exp over a (G, levels) exponent table, and a stacked
 ``pressure_limit`` reads each size's family once. Families come from a
-small memo, so the chunks of a threaded sweep share one build per size;
-``release_families`` empties the memo when a sweep ends.
+small build-once memo (``lattice._locked_memo``), so the chunks of a
+threaded sweep share one build per size; ``release_families`` empties the
+memo when a sweep ends.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import ControlVector, as_components
-from .errors import DataError, NumericRangeError, UsageError
-from .lattice import DIMENSION_CAP, ModelSpec, ObservableFamily, build_model
+from .convex import as_components, as_stack
+from .errors import NumericRangeError, UsageError
+from .lattice import DIMENSION_CAP, ModelSpec, ObservableFamily, _locked_memo, build_model
 
 # Eigenvalues below this contribute zero to x ln x sums (continuity at 0).
 EIG_FLOOR = 1e-15
 # Support threshold for relative entropy: sigma-eigenvalues at or below it
 # count as null directions.
 SUPPORT_EPS = 1e-12
-# Families kept by pressure_limit's memo. A stacked call reads each size once;
-# the memo lets the chunks of a threaded sweep, one call each, share one build
-# per size. At the default DIMENSION_CAP a sweep has at most 14 sizes, so all
-# of its families stay in it; with a larger cap, a sweep of over 16 sizes
-# evicts them and every chunk rebuilds every size.
+# Families kept by pressure_limit's build-once memo (``_family``). A stacked
+# call reads each size once; the memo lets the chunks of a threaded sweep, one
+# call each, share one build per size. At the default DIMENSION_CAP a sweep
+# has at most 14 sizes, so all of its families stay in it; with a larger cap,
+# a sweep of over 16 sizes evicts them and every chunk rebuilds every size.
 FAMILY_MEMO_SIZE = 16
 
 
@@ -178,24 +178,6 @@ def relative_entropy(rho: DensityState, sigma: DensityState) -> float:
     return entropy_term - cross
 
 
-def _theta_stack(theta, n: int) -> tuple[np.ndarray, bool]:
-    """Control vectors as a (G, n) stack, and whether theta was a single one.
-
-    A two-dimensional theta is a stack of G >= 1 rows of n finite entries;
-    anything else is one control vector (see ``as_components``), returned
-    as a one-row stack.
-    """
-    stack = None if isinstance(theta, ControlVector) else np.asarray(theta, dtype=float)
-    if stack is None or stack.ndim < 2:
-        return as_components(theta, n)[None, :], True
-    if stack.ndim != 2 or stack.shape[0] == 0 or stack.shape[1] != n:
-        raise UsageError(f"expected a (G, {n}) stack of control vectors with G >= 1, "
-                         f"got shape {stack.shape}")
-    if not np.all(np.isfinite(stack)):
-        raise DataError("non-finite control vector")
-    return stack, False
-
-
 def finite_pressure(family: ObservableFamily, theta) -> float | np.ndarray:
     """phi_N = N^-1 ln Tr exp(-theta.Q), summed over the family's joint levels.
 
@@ -208,7 +190,7 @@ def finite_pressure(family: ObservableFamily, theta) -> float | np.ndarray:
     (G, levels) table. Raises NumericRangeError, naming the theta, when a
     row's largest term is not finite (theta.Q left the floating-point range).
     """
-    stack, single = _theta_stack(theta, family.n_observables)
+    stack, single = as_stack(theta, family.n_observables)
     levels, log_mult = family.levels()
     with np.errstate(over="ignore", invalid="ignore"):
         exponent = log_mult - np.matmul(levels[None], stack[:, :, None])[..., 0]
@@ -296,29 +278,17 @@ def _roundoff_floor(narr: np.ndarray, value: float, ratio: float = 0.0) -> float
     return float(np.finfo(float).eps * narr[-1] * (1.0 + abs(value)) / (1.0 - r) ** 2)
 
 
-@functools.lru_cache(maxsize=FAMILY_MEMO_SIZE)
-def _memo_family(spec: ModelSpec, n: int, cap: int) -> ObservableFamily:
+@_locked_memo(FAMILY_MEMO_SIZE)
+def _family(spec: ModelSpec, n: int, cap: int) -> ObservableFamily:
+    """The memoized family of ``spec`` on n sites, built on first request."""
     # build_model is looked up at call time, so a rebinding of this module's
     # name (instrumentation, tests) sees every build
     return build_model(spec, spec.region(n), cap=cap)
 
 
-_memo_lock = threading.Lock()
-
-
-def _family(spec: ModelSpec, n: int, cap: int) -> ObservableFamily:
-    """The memoized family of ``spec`` on n sites, built on first request.
-
-    The lock makes threads of one sweep wait for a family another thread is
-    building instead of building it again.
-    """
-    with _memo_lock:
-        return _memo_family(spec, n, cap)
-
-
 def release_families() -> None:
     """Drop the families pressure_limit has kept; later calls build afresh."""
-    _memo_family.cache_clear()
+    _family.cache_clear()
 
 
 def pressure_limit(spec: ModelSpec, theta, sizes, fit: str = "affine",
@@ -363,7 +333,7 @@ def pressure_limit(spec: ModelSpec, theta, sizes, fit: str = "affine",
                              f"and free_spins, not {spec.kind}{chain}")
         if not np.allclose(steps, steps[0]):
             raise UsageError("geometric fit needs uniformly spaced sizes")
-    stack, single = _theta_stack(theta, spec.n_observables)
+    stack, single = as_stack(theta, spec.n_observables)
     # (G, sizes): row g holds phi_N of every size at theta g
     table = np.stack([finite_pressure(_family(spec, n, cap), stack) for n in sizes], axis=1)
     if fit == "affine":

@@ -24,8 +24,9 @@ A~[j,k] B~[k,j] into an L x L level-pair table, from the family's cached
 level view (:meth:`ObservableFamily.level_view`), and do all phases,
 Boltzmann weights and quadrature over the L^2 level pairs. The table
 depends on neither theta nor t, so it is folded once per (family, A, B)
-and kept in a small memo that pointwise and smeared residuals share (see
-``FOLD_MEMO_SIZE`` and ``release_folds``).
+and kept in a small build-once memo (``lattice._locked_memo``) that
+pointwise and smeared residuals share (see ``FOLD_MEMO_SIZE`` and
+``release_folds``).
 
 Test functions are Gaussians: entire, rapidly decaying, and with f(t-i)
 available in closed form along the shifted line.
@@ -34,16 +35,14 @@ available in closed form along the shifted line.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .convex import as_components
 from .errors import NumericRangeError, QuadratureError, ResourceError, UsageError
-from .lattice import ObservableFamily, _frozen, lift_site_operator
+from .lattice import ObservableFamily, _frozen, _locked_memo, lift_site_operator
 
 # Residual checks form the dim x dim cross table A~[j,k] B~[k,j] (and, for a
 # dense family, rotate both probes into its eigenbasis) before folding it over
@@ -176,8 +175,9 @@ def _folded_cross(atil: np.ndarray, btil: np.ndarray, index: np.ndarray,
     return (real + 1j * imag).reshape(n_levels, n_levels)
 
 
-@functools.lru_cache(maxsize=FOLD_MEMO_SIZE)
+@_locked_memo(FOLD_MEMO_SIZE)
 def _memo_cross(family: ObservableFamily, a: TestOperator, b: TestOperator) -> np.ndarray:
+    """The folded cross table of (family, A, B), folded on first request."""
     # keyed by the identity of all three (neither class defines equality);
     # the memo holds them, so their ids are not reused while an entry lives.
     # _folded_cross is looked up at call time, so a rebinding (tests) sees
@@ -186,19 +186,6 @@ def _memo_cross(family: ObservableFamily, a: TestOperator, b: TestOperator) -> n
     cross = _folded_cross(_rotate(a.matrix, view.basis), _rotate(b.matrix, view.basis),
                           view.index, len(view.rows))
     return _frozen([cross])[0]
-
-
-_memo_lock = threading.Lock()
-
-
-def _cross(family: ObservableFamily, a: TestOperator, b: TestOperator) -> np.ndarray:
-    """The folded cross table of (family, A, B), folded on first request.
-
-    The lock makes threads of one run wait for a fold another thread is
-    building instead of folding it again.
-    """
-    with _memo_lock:
-        return _memo_cross(family, a, b)
 
 
 def release_folds() -> None:
@@ -221,7 +208,7 @@ def _residual_tables(family: ObservableFamily, theta, a: TestOperator, b: TestOp
     log_z = math.log(float(np.exp(view.log_mult - lam).sum()))
     if not math.isfinite(log_z):
         raise NumericRangeError("partition sum left the representable range")
-    cross = _cross(family, a, b)
+    cross = _memo_cross(family, a, b)
     delta = lam[:, None] - lam[None, :]
     return lam, log_z, cross, delta
 

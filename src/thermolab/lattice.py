@@ -18,6 +18,8 @@ in the most significant bit; bit 0 means sigma_z = +1, bit 1 means -1.
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -378,6 +380,24 @@ def _frozen(arrays) -> tuple:
         if view is not None:
             view.setflags(write=False)
     return views
+
+
+def _locked_memo(maxsize: int):
+    """Decorator: a build-once memo, an ``lru_cache`` of ``maxsize`` entries
+    behind one lock, so a thread asking for an entry another thread is
+    building waits for it. Exposes the cache's ``cache_info`` and ``cache_clear``."""
+    def decorate(fn):
+        cached = functools.lru_cache(maxsize=maxsize)(fn)
+        lock = threading.Lock()
+
+        @functools.wraps(fn)
+        def memo(*args):
+            with lock:
+                return cached(*args)
+
+        memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
+        return memo
+    return decorate
 
 
 def _site_spins(n_sites: int) -> np.ndarray:

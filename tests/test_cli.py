@@ -757,3 +757,61 @@ class TestNoMaskedArrayImport:
                               env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["True", "False"]
+
+
+class TestStrayKeyRefusedBeforeAnySolve:
+    """Every runner finalizes its config before its first solve: a key no
+    reader takes is a ConfigError, and the solver never runs."""
+
+    CASES = {
+        "pressure": ("pressure_limit", "model = ising_chain\nJ = 1.0\nhx = 0.3\n"
+                     "theta0 = 0.1:2.0:0.01\ntheta1 = -0.5:0.5:0.1\nsizes = 4:14\n", 3),
+        "entropy-curve": ("entropy_curve",
+                          "model = curie_weiss\nJ = 1.0\nm_values = -0.9:0.9:0.1\nbogus = 1\n", 4),
+        "legendre": ("entropy_curve", "model = curie_weiss\nJ = 1.0\nm_values = -0.9:0.9:0.1\n"
+                     "theta0 = 1.0\nbogus = 1\n", 5),
+        "completeness": ("completeness_verdict", "model = curie_weiss\nJ = 1.0\n"
+                         "constrain = energy\ne_values = -0.3\nbogus = 1\n", 5),
+        "kms-verify": ("build_model", "model = ising_chain\nJ = 1.0\nN = 4\ntheta0 = 1.0\n"
+                       "bogus = 1\n", 5),
+        "diff-test": ("entropy_curve", "model = curie_weiss\nJ = 1.0\ntheta0 = 3.0\nbogus = 1\n", 4),
+    }
+
+    @pytest.mark.parametrize("subcommand", CASES)
+    def test_stray_key_stops_the_run_before_the_solver(self, tmp_path, monkeypatch, subcommand):
+        solver, text, line = self.CASES[subcommand]
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError(f"{solver} ran before the config was finalized")
+
+        monkeypatch.setattr(cli, solver, refuse)
+        path = write_config(tmp_path, text)
+        key = text.splitlines()[line - 1].split("=")[0].strip()
+        with pytest.raises(ConfigError, match="unknown key") as exc:
+            run_experiment(subcommand, path, tmp_path / "out")
+        assert (exc.value.key, exc.value.line) == (key, line)
+        assert calls == []
+
+
+class TestConfigErrorNamesItsFile:
+    def test_main_names_the_config_on_stderr(self, tmp_path, capsys):
+        path = write_config(tmp_path, "model = ising_chain\nJ = 1.0\nh = 0.3\nhx = 0.3\n"
+                                      "theta0 = 1.0\nsizes = 3:5\n", name="x.cfg")
+        assert main(["pressure", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"{path}: unknown key (key 'hx', line 4)" in capsys.readouterr().err
+
+    def test_parse_error_names_its_source(self):
+        with pytest.raises(ConfigError, match=r"^x\.cfg: expected 'key = value' \(line 2\)$"):
+            Config.parse("model = free_spins\nsizes 3:5\n", source="x.cfg")
+
+
+class TestFailedRunLeavesNoOutDir:
+    @pytest.mark.parametrize("text", [TestPressureOverflow.CONFIG,
+                                      "model = free_spins\ntheta0 = 1.0\nsizes = 3:5\nbogus = 1\n"],
+                             ids=["theta-overflow", "stray-key"])
+    def test_exit_2_makes_no_out_dir(self, tmp_path, text):
+        path = write_config(tmp_path, text)
+        assert main(["pressure", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()

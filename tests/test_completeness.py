@@ -562,3 +562,15 @@ class TestMaximizersStayMerged:
         gaps = np.diff(result.maximizers)
         assert np.all(gaps > MERGE_RADIUS)
         assert result.multiplicity == len(result.maximizers)
+
+
+class TestFlatRowsBuildNoScan:
+    """A flat row of an entropy curve takes eta(0) directly: the 200,001-point
+    scan is built only where a flat optimum's interval is asked for."""
+
+    def test_flat_energy_grid_leaves_the_scan_unbuilt(self):
+        family = ErgodicFamily(ModelSpec("ising_chain", J=0.0, h=0.0))
+        curve = entropy_curve(family, [{0: 0.0}])
+        assert family._scan is None
+        fresh = ErgodicFamily(ModelSpec("ising_chain", J=0.0, h=0.0))
+        assert curve.values.tolist() == [constrained_entropy_max(fresh, {0: 0.0}).entropy_value]

@@ -640,3 +640,21 @@ class TestBiconjugateEdges:
         f = CurveSamples([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]], [0.0, 1.0, 0.5], CONCAVE)
         with pytest.raises(UsageError, match="Cartesian product grid"):
             biconjugate(f)
+
+
+class TestOnePointReader:
+    """Every single point goes through ``as_components``: a point of the wrong
+    length is a UsageError and a non-finite one a DataError, never a numpy
+    error or a quiet NaN."""
+
+    def test_support_defect_slope_of_the_wrong_length(self):
+        with pytest.raises(UsageError, match="coordinates"):
+            support_defect(entropy_curve_1d(11), [0.5], [0.1, 0.2])
+
+    def test_support_defect_non_finite_slope(self):
+        with pytest.raises(DataError, match="non-finite point"):
+            support_defect(entropy_curve_1d(11), [0.5], [np.nan])
+
+    def test_index_of_non_finite_point(self):
+        with pytest.raises(DataError, match="non-finite point"):
+            entropy_curve_1d(11).index_of([np.nan])
