@@ -2,7 +2,8 @@
 
 Configs are plain-text ``key = value`` lines, read by :mod:`.config`. Each
 runner reads every key it needs and calls ``Config.finalize`` before its
-first solve, so a key no reader takes costs no computation. Every
+first solve, so a key no reader takes costs no computation; an output
+directory that could not be made is refused before the runner starts. Every
 artifact carries its seed and config echo in '#' header lines; reruns with
 the same config and seed produce byte-identical files except for the
 ``# generated=<timestamp>`` line. Results of sweep points are written in
@@ -11,12 +12,11 @@ sweep order regardless of worker completion order.
 
 from __future__ import annotations
 
-import argparse
 import datetime
 import json
+import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .completeness import (
 # callers import Config and _parse_number_list from here too
 from .config import Config, _decimal_range, _decimals, _parse_number_list  # noqa: F401
 from .convex import CurveSamples, biconjugate, conjugate, tangent_set
-from .errors import ConfigError, ThermolabError
+from .errors import ConfigError, ThermolabError, UsageError
 from .gibbs import pressure_limit, release_families
 from .kms import (
     GaussianTestFunction,
@@ -59,8 +59,9 @@ class ArtifactWriter:
         self.pending: list[tuple] = []
         self.records: list[dict] = []
 
-    def write_csv(self, name: str, columns: list[str], rows: list[tuple]):
-        self.pending.append(("csv", name, columns, list(rows)))
+    def write_csv(self, name: str, columns: list[str], lines: list[str]):
+        """Queue a CSV of rendered body lines (``_line``), one per row."""
+        self.pending.append(("csv", name, columns, list(lines)))
 
     def write_curve(self, name: str, curve: CurveSamples):
         self.pending.append(("curve_csv", name, None, curve))
@@ -82,7 +83,7 @@ class ArtifactWriter:
         for kind, name, extra, payload in self.pending:
             path = self.out_dir / name
             if kind == "csv":
-                body = "".join([",".join(map(_cell, row)) + "\n" for row in payload])
+                body = "".join([line + "\n" for line in payload])
                 path.write_text(self._header(echo) + ",".join(extra) + "\n" + body)
                 rows = len(payload)
             elif kind == "curve_csv":
@@ -105,9 +106,16 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _line(row) -> str:
+    """One CSV body line: floats by ``repr``, everything else by ``str``."""
+    return ",".join(map(_cell, row))
+
+
 def _pool_map(fn, items, threads: int):
     if threads <= 1:
         return [fn(x) for x in items]
+    # imported here: a one-thread run never pays for concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -150,14 +158,14 @@ def _run_pressure(cfg: Config, writer: ArtifactWriter, threads: int):
     estimates = [est for chunk in chunks for est in chunk]
     columns = [f"theta_{k}" for k in range(spec.n_observables)]
     columns += ["N", "phi_N", "value", "extrapolation_error"]
-    rows = []
+    lines = []
     for th, est in zip(thetas, estimates):
-        # cells shared by the theta's size rows are rendered once
-        head = tuple(_cell(x) for x in th)
-        tail = (_cell(est.value), _cell(est.extrapolation_error))
-        for n, phi in est.per_size:
-            rows.append(head + (n, phi) + tail)
-    writer.write_csv("pressure.csv", columns, rows)
+        # cells shared by the theta's size rows are rendered once; N is an
+        # int and phi_N a float, so their cells are str and repr
+        head = _line(th)
+        tail = _line((est.value, est.extrapolation_error))
+        lines.extend(f"{head},{n},{phi!r},{tail}" for n, phi in est.per_size)
+    writer.write_csv("pressure.csv", columns, lines)
     return {}
 
 
@@ -197,8 +205,8 @@ def _run_legendre(cfg: Config, writer: ArtifactWriter, threads: int):
 
     results = _pool_map(one, thetas, threads)
     columns = [f"theta_{k}" for k in range(curve.ndim)] + ["value", "scan_value"]
-    rows = [tuple(th) + tuple(res) for th, res in zip(thetas, results)]
-    writer.write_csv("pressure_curve.csv", columns, rows)
+    writer.write_csv("pressure_curve.csv", columns,
+                     [_line(tuple(th) + tuple(res)) for th, res in zip(thetas, results)])
 
     extras = {}
     if curve.ndim == 1 or curve.axes() is not None:
@@ -258,7 +266,8 @@ def _run_kms_verify(cfg: Config, writer: ArtifactWriter, threads: int):
     try:
         rows = [row for batch in _pool_map(residual_rows, thetas, threads) for row in batch]
         writer.write_csv("residuals.csv",
-                         ["model", "N"] + theta_cols + ["A", "B", "t", "residual"], rows)
+                         ["model", "N"] + theta_cols + ["A", "B", "t", "residual"],
+                         [_line(row) for row in rows])
 
         smeared_rows = []
         if sigma_w > 0 and smeared_per_theta > 0:
@@ -275,7 +284,7 @@ def _run_kms_verify(cfg: Config, writer: ArtifactWriter, threads: int):
                 "smeared.csv",
                 ["model", "N"] + theta_cols
                 + ["A", "B", "t", "residual", "sigma_w", "quadrature_step"],
-                smeared_rows,
+                [_line(row) for row in smeared_rows],
             )
     finally:
         release_folds()
@@ -323,7 +332,7 @@ def _run_diff_test(cfg: Config, writer: ArtifactWriter, threads: int):
     coord_cols = [f"q_{k}" for k in range(curve.ndim)]
     width_cols = [f"width_{k}" for k in range(curve.ndim)]
     writer.write_csv("tangent_widths.csv", coord_cols + width_cols + ["max_width"],
-                     width_rows)
+                     [_line(row) for row in width_rows])
     max_tangent_width = max((r[-1] for r in width_rows), default=0.0)
     # a large width along a density strictly monotone in m means a kink; along
     # one that turns back (q_0 at its vertex) the width is large on a smooth curve
@@ -338,7 +347,7 @@ def _run_diff_test(cfg: Config, writer: ArtifactWriter, threads: int):
     writer.write_csv(
         "pressure_kink.csv",
         ["theta_0", "component", "step", "left_slope", "right_slope", "gap"],
-        [(theta0, gap.component, gap.step, gap.left, gap.right, gap.gap)],
+        [_line((theta0, gap.component, gap.step, gap.left, gap.right, gap.gap))],
     )
 
     if theta1_values:
@@ -346,7 +355,7 @@ def _run_diff_test(cfg: Config, writer: ArtifactWriter, threads: int):
             return mean_field_pressure(family, [theta0] + [0.0] * (family.n_components - 2) + [t1])
         phis = _pool_map(scan_phi, theta1_values, threads)
         writer.write_csv("pressure_scan.csv", ["theta_1", "value"],
-                         list(zip(theta1_values, phis)))
+                         [_line(row) for row in zip(theta1_values, phis)])
 
     return {
         "pressure_kink": {
@@ -372,6 +381,19 @@ _RUNNERS = {
 SUBCOMMANDS = tuple(_RUNNERS)
 
 
+def _check_out_dir(out: Path) -> None:
+    """Refuse an output directory that the flush could not make or write
+    into, before any solve: the nearest existing one of ``out`` and its
+    ancestors must be a writable directory, so ``out`` is a directory or does
+    not exist yet. Creates nothing."""
+    ancestor = out
+    while not ancestor.exists() and ancestor.parent != ancestor:
+        ancestor = ancestor.parent
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise UsageError(f"output directory {str(out)!r} cannot be made: "
+                         f"{str(ancestor)!r} is not a writable directory")
+
+
 def run_experiment(subcommand: str, config_path, out_dir, seed: int = 0,
                    threads: int = 1) -> dict:
     """Run one experiment and return its manifest (also written to disk)."""
@@ -380,8 +402,9 @@ def run_experiment(subcommand: str, config_path, out_dir, seed: int = 0,
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     start = time.monotonic()
-    cfg = Config.load(config_path)
     out = Path(out_dir)
+    _check_out_dir(out)
+    cfg = Config.load(config_path)
     writer = ArtifactWriter(out, seed)
     extras = _RUNNERS[subcommand](cfg, writer, threads)
     writer.flush(cfg.echo())
@@ -400,6 +423,9 @@ def run_experiment(subcommand: str, config_path, out_dir, seed: int = 0,
 
 
 def main(argv=None) -> int:
+    # imported here: library callers of run_experiment never pay for argparse
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="thermolab",
         description="Thermodynamics experiments on finite lattice models.",

@@ -9,8 +9,8 @@ once per family), and expectations are read in that basis too.
 Pressures are sums over levels, not states: ``finite_pressure`` reads the
 family's joint level table (distinct eigenvalue rows with multiplicities,
 see ``ObservableFamily.levels``), which the built-in Ising and Curie-Weiss
-families shrink from 2^N states to O(N^2) rows. A family does not depend on
-theta, so a theta grid is one unit of work: ``finite_pressure`` and
+families count in O(N^2) rows, building no 2^N states. A family does not
+depend on theta, so a theta grid is one unit of work: ``finite_pressure`` and
 ``pressure_limit`` take a (G, k) stack of control vectors as well as a
 single one (the one-row case), read by ``convex.as_stack`` under the
 package's stack convention. A stacked ``finite_pressure`` is one

@@ -2,12 +2,16 @@
 
 Each family is a finite set of commuting hermitian observables
 (Q_0 = energy, Q_1, ...) on the 2^N-dimensional spin space of a region.
-The built-in models are all diagonal in the product sigma_z basis, so they
-are stored as diagonal vectors; dense storage is used for the one
-non-commuting extra (transverse-field chain, a single-observable family).
-A dense observable must commute with the global spin flip prod sigma_x, as
-the transverse chain does on both boundaries; it is diagonalized in its two
-flip-parity blocks of dimension 2^(N-1), in one stacked solve.
+The built-in models are all diagonal in the product sigma_z basis, apart
+from one non-commuting extra (transverse-field chain, a single-observable
+family). A dense observable must commute with the global spin flip
+prod sigma_x, as the transverse chain does on both boundaries; it is kept as
+the two inputs of its flip-parity blocks of dimension 2^(N-1) and
+diagonalized in one stacked solve.
+A built-in family is defined by its structure, not its storage: the diagonal
+kinds count their level table from (walls, down spins) classes, and build
+their 2^N diagonals from the spin bits only when something reads them; the
+dense matrix is assembled from its blocks on first read.
 Only this module reads that storage: other modules see a family through its
 cached spectral form, the joint level table (``levels``) or the levels with
 the basis they live in (``level_view``).
@@ -19,6 +23,7 @@ in the most significant bit; bit 0 means sigma_z = +1, bit 1 means -1.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from dataclasses import dataclass, replace
 
@@ -145,51 +150,96 @@ def parse_model_config(text: str) -> tuple[ModelSpec, int | None]:
 class ObservableFamily:
     """Commuting hermitian observables on a region's spin space.
 
-    Observables are stored either as diagonal vectors (all built-in models)
-    or as one dense hermitian matrix that commutes with the global spin flip
-    (the transverse-field chain). This class is the only code that reads the
-    storage: every spectral consumer goes through :meth:`levels`,
-    :meth:`level_view`, :meth:`level_energies` or :meth:`control_generator`.
-    The arrays are kept read-only, so a family can be shared between sweeps
-    and threads. ``spec`` records the generating model when the family came
-    out of :func:`build_model`.
+    Observables are given either as diagonal vectors or as one dense
+    hermitian matrix that commutes with the global spin flip (the
+    transverse-field chain); a dense matrix is kept as its flip-parity
+    inputs ``near`` and ``far`` (see :meth:`_spectrum`), its one
+    representation. A family from :func:`build_model` is defined by its
+    structure: a diagonal kind counts :meth:`levels` from its model, and
+    ``diagonals`` and ``dense`` are built on first read. This class is the
+    only code that reads the storage: every spectral consumer goes through
+    :meth:`levels`, :meth:`level_view`, :meth:`level_energies` or
+    :meth:`control_generator`. The arrays are kept read-only, so a family can
+    be shared between sweeps and threads. ``spec`` records the generating
+    model when the family came out of :func:`build_model`.
     """
 
     def __init__(self, region: Region, labels, diagonals=None, matrices=None,
                  spec: ModelSpec | None = None):
         if (diagonals is None) == (matrices is None):
             raise UsageError("provide exactly one of diagonals or matrices")
-        self.region = region
-        self.labels = tuple(labels)
-        self.spec = spec
-        self._levels = None
-        self._level_view = None
-        dim = self.dim
+        labels = tuple(labels)
+        dim = 2**region.size
         if diagonals is not None:
-            self.diagonals = _frozen(np.asarray(d, dtype=float) for d in diagonals)
-            self.dense = None
-            n = len(self.diagonals)
-            shapes_ok = all(d.shape == (dim,) for d in self.diagonals)
+            diagonals = _frozen(np.asarray(d, dtype=float) for d in diagonals)
+            n = len(diagonals)
+            shapes_ok = all(d.shape == (dim,) for d in diagonals)
         else:
-            self.dense = _frozen(np.asarray(m) for m in matrices)
-            self.diagonals = None
-            n = len(self.dense)
+            matrices = [np.asarray(m) for m in matrices]
+            n = len(matrices)
             if n > 1:
                 raise UsageError("dense families hold a single observable; "
                                  "commuting observables are stored as diagonals")
-            shapes_ok = all(m.shape == (dim, dim) for m in self.dense)
-            for m in self.dense:
+            shapes_ok = all(m.shape == (dim, dim) for m in matrices)
+            for m in matrices:
                 if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
                     raise UsageError("observables must be hermitian")
         if not shapes_ok:
             raise UsageError(f"observable shape mismatch for dimension {dim}")
-        if self.dense is not None and not all(np.array_equal(m, m[::-1, ::-1])
-                                              for m in self.dense):
+        if matrices is not None and not all(np.array_equal(m, m[::-1, ::-1])
+                                            for m in matrices):
             raise UsageError("a dense observable must commute with the global spin flip")
         if n == 0:
             raise UsageError("family needs at least one observable")
-        if len(self.labels) != n:
+        if len(labels) != n:
             raise UsageError("one label per observable required")
+        blocks = None
+        if matrices is not None:
+            m, half = matrices[0], dim // 2
+            blocks = _frozen((m[:half, :half], m[:half, ::-1][:, :half]))
+        self._setup(region, labels, spec, diagonals, blocks)
+
+    @classmethod
+    def _of_model(cls, spec: ModelSpec, region: Region, blocks=None) -> "ObservableFamily":
+        """A built-in model's family: the dense kind from its (near, far)
+        blocks, a diagonal kind from ``spec`` alone."""
+        family = cls.__new__(cls)
+        family._setup(region, spec.labels, spec, None, blocks)
+        return family
+
+    def _setup(self, region, labels, spec, diagonals, blocks):
+        self.region = region
+        self.labels = tuple(labels)
+        self.spec = spec
+        self._diagonals = diagonals
+        self._blocks = blocks
+        self._dense = None
+        # a diagonal family with no given storage is its model's: its level
+        # table is counted and its diagonals are built when read
+        self._counted = diagonals is None and blocks is None
+        self._levels = None
+        self._level_view = None
+
+    @property
+    def diagonals(self) -> tuple | None:
+        """The observables as vectors over the product basis; None for a dense
+        family. A built-in model's are built from the spin bits on first read;
+        two threads asking at once at worst both build them."""
+        if self._diagonals is None and self._counted:
+            self._diagonals = _frozen(_model_diagonals(self.spec, self.region.size))
+        return self._diagonals
+
+    @property
+    def dense(self) -> tuple | None:
+        """The dense observable as a one-matrix tuple; None for a diagonal
+        family. Assembled from its blocks on first read and kept: the top
+        half is [near | far reversed], the bottom half the top's flip
+        image."""
+        if self._dense is None and self._blocks is not None:
+            near, far = self._blocks
+            top = np.concatenate([near, far[:, ::-1]], axis=1)
+            self._dense = _frozen([np.concatenate([top, top[::-1, ::-1]])])
+        return self._dense
 
     def _spectrum(self, vectors: bool) -> tuple:
         """(rows, log_mult, index, basis) of the joint spectrum.
@@ -201,32 +251,28 @@ class ObservableFamily:
         None otherwise.
 
         Grouping is a stable lexicographic sort of the states (first
-        observable first) with a level break wherever neighbours differ:
-        ``np.unique(..., axis=0)``'s rows, counts and index without its sort
-        of structured rows. A level takes the values of its lowest state.
+        observable first) with a level break wherever neighbours differ
+        (``_grouped``): ``np.unique(..., axis=0)``'s rows, counts and index
+        without its sort of structured rows. A level takes the values of its
+        lowest state.
 
         The dense observable commutes with the global flip prod sigma_x, which
         maps index i to dim - 1 - i, so it splits into an even and an odd
         block on the states (|i> +- |dim-1-i>)/sqrt(2), i < dim/2. With
-        near = H[:half, :half] and far[i, j] = H[i, dim-1-j], the blocks are
-        near + far and near - far, solved in one stacked call. Eigenvalues of
-        both blocks are merged by a stable sort; block eigenvector v becomes
-        v/sqrt(2) on the lower half and +-v/sqrt(2), reversed, on the upper.
+        near = H[:half, :half] and far[i, j] = H[i, dim-1-j], the family's
+        stored blocks, these are near + far and near - far, solved in one
+        stacked call. Eigenvalues of both blocks are merged by a stable sort;
+        block eigenvector v becomes v/sqrt(2) on the lower half and
+        +-v/sqrt(2), reversed, on the upper.
         """
         if self.is_diagonal:
-            order = np.lexsort(self.diagonals[::-1])
-            columns = [d[order] for d in self.diagonals]
-            breaks = np.zeros(self.dim, dtype=bool)
-            breaks[0] = True
-            for column in columns:
-                breaks[1:] |= column[1:] != column[:-1]
+            order, breaks, rows = _grouped(self.diagonals)
             starts = np.flatnonzero(breaks)
             index = np.empty(self.dim, dtype=np.intp)
             index[order] = np.cumsum(breaks) - 1
-            rows = np.stack([column[starts] for column in columns], axis=1)
             return rows, np.log(np.diff(starts, append=self.dim)), index, None
-        m, half = self.dense[0], self.dim // 2
-        near, far = m[:half, :half], m[:half, ::-1][:, :half]
+        near, far = self._blocks
+        half = self.dim // 2
         blocks = np.stack([near + far, near - far])
         if vectors:
             lam, vec = np.linalg.eigh(blocks)
@@ -245,14 +291,18 @@ class ObservableFamily:
 
         Row ``k`` of the first array holds the eigenvalues of (Q_0, Q_1, ...)
         on one joint eigenspace, whose dimension is ``exp`` of entry ``k`` of
-        the second. Taken from :meth:`level_view` when that is built, and
-        computed without eigenvectors otherwise. Computed on first use and
-        kept; two threads asking at once at worst both compute it.
+        the second. Taken from :meth:`level_view` when that is built. A
+        built-in diagonal family counts it otherwise (``_counted_levels``:
+        O(N^2) classes, no 2^N storage, the grouping's bits); other families
+        compute it without eigenvectors. Computed on first use and kept; two
+        threads asking at once at worst both compute it.
         """
         if self._levels is None:
             view = self._level_view
             if view is not None:
                 self._levels = (view.rows, view.log_mult)
+            elif self._counted:
+                self._levels = _frozen(_counted_levels(self.spec, self.region.size))
             else:
                 self._levels = _frozen(self._spectrum(vectors=False)[:2])
         return self._levels
@@ -281,7 +331,7 @@ class ObservableFamily:
 
     @property
     def is_diagonal(self) -> bool:
-        return self.diagonals is not None
+        return self._blocks is None
 
     def level_energies(self, theta) -> np.ndarray:
         """theta . Q on each level of :meth:`level_view`, summed in column order."""
@@ -400,6 +450,22 @@ def _locked_memo(maxsize: int):
     return decorate
 
 
+def _grouped(columns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the rows of equal-length ``columns`` (first column first).
+
+    Returns the stable lexicographic order of the rows, the level breaks in
+    that order (True where a row differs from the one before it) and the
+    distinct rows, each with the values of its first row in the order.
+    """
+    order = np.lexsort(columns[::-1])
+    columns = [column[order] for column in columns]
+    breaks = np.zeros(order.size, dtype=bool)
+    breaks[0] = True
+    for column in columns:
+        breaks[1:] |= column[1:] != column[:-1]
+    return order, breaks, np.stack([column[breaks] for column in columns], axis=1)
+
+
 def _site_spins(n_sites: int) -> np.ndarray:
     """(n_sites, 2^n) array of sigma_z values per site and basis state."""
     idx = np.arange(2**n_sites, dtype=np.int64)
@@ -416,6 +482,111 @@ def lift_site_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     return np.kron(np.kron(left, np.asarray(op)), right)
 
 
+def _n_bonds(spec: ModelSpec, n: int) -> int:
+    """Bonds of a chain of n sites: n - 1 open, n periodic (a self bond on one
+    site, a doubled bond on two)."""
+    return n if spec.boundary == "periodic" else n - 1
+
+
+def _model_diagonals(spec: ModelSpec, n: int) -> list[np.ndarray]:
+    """A diagonal kind's observables on n sites, one vector over the product
+    basis each, from the spin bits (the formulas of :func:`build_model`)."""
+    spins = _site_spins(n)
+    if spec.kind == "free_spins":
+        return [((1.0 - spins) / 2.0).sum(axis=0)]
+    total_sz = spins.sum(axis=0)
+    if spec.kind == "ising_chain":
+        last = _n_bonds(spec, n)
+        bonds = sum(spins[i] * spins[(i + 1) % n] for i in range(last)) if last else 0.0
+        return [-spec.J * bonds - spec.h * total_sz, total_sz.copy()]
+    return [-(spec.J / (2.0 * n)) * total_sz**2 - spec.h * total_sz, total_sz.copy()]
+
+
+def _chain_classes(n: int, periodic: bool) -> np.ndarray:
+    """counts[w, d]: the states of an n-site chain with w walls (bonds that
+    join unequal spins) and d down spins.
+
+    A transfer DP over (first spin, last spin, walls, downs), one site at a
+    time; a periodic chain's closing bond then joins the last spin to the
+    first. Counts are float64, exact while below 2^53 (N <= 53).
+    """
+    table = np.zeros((2, 2, n + 1, n + 1))  # first, last, walls, downs
+    table[0, 0, 0, 0] = table[1, 1, 0, 1] = 1.0
+    for _ in range(n - 1):
+        grown = np.zeros_like(table)
+        for spin in (0, 1):  # 0 up, 1 down; a down spin moves d up by one
+            kept = slice(0, n + 1 - spin)
+            grown[:, spin, :, spin:] += table[:, spin, :, kept]
+            grown[:, spin, 1:, spin:] += table[:, 1 - spin, :-1, kept]
+        table = grown
+    counts = table[0, 0] + table[1, 1]
+    ends_differ = table[0, 1] + table[1, 0]
+    if periodic:
+        counts[1:] += ends_differ[:-1]
+    else:
+        counts += ends_differ
+    return counts
+
+
+def _counted_levels(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The level table of a diagonal kind on n sites, counted from classes.
+
+    A state's observables depend only on its class: its down-spin count d
+    and, on a chain, its walls w. Each class row is :func:`build_model`'s own
+    formula on the class values (bonds = n_bonds - 2w, M = n - 2d), so it
+    has the bits of the states in it; free spins and Curie-Weiss count
+    binomially, the chain by ``_chain_classes``. Classes with equal rows are
+    merged by ``_grouped`` and their counts summed. The classes enter in
+    ascending wall order, so a merged level takes the row of its fewest-wall
+    class, which holds the level's lowest state (0..01..1 has the fewest
+    walls of its d): that decides the sign of the +-0.0 energies a J = 0
+    chain merges. Rows and log-multiplicities equal the grouping of the 2^N
+    states bit for bit. No dimension cap applies here.
+    """
+    if spec.kind == "ising_chain":
+        counts = _chain_classes(n, spec.boundary == "periodic")
+        walls, downs = np.nonzero(counts)  # walls ascending
+        counts = counts[walls, downs]
+        bonds = _n_bonds(spec, n) - 2.0 * walls
+        total_sz = n - 2.0 * downs
+        columns = [-spec.J * bonds - spec.h * total_sz, total_sz]
+    else:
+        downs = np.arange(n + 1)
+        counts = np.array([math.comb(n, d) for d in downs], dtype=float)
+        total_sz = n - 2.0 * downs
+        if spec.kind == "free_spins":
+            columns = [downs.astype(float)]
+        else:  # curie_weiss
+            columns = [-(spec.J / (2.0 * n)) * total_sz**2 - spec.h * total_sz, total_sz]
+    order, breaks, rows = _grouped(columns)
+    return rows, np.log(np.add.reduceat(counts[order], np.flatnonzero(breaks)))
+
+
+def _transverse_blocks(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """near = H[:half, :half] and far = H[:half, ::-1][:, :half] of the
+    transverse chain on n sites, from the spin bits of the lower half.
+
+    The lower half holds the states with site 0 up. sz sz is diagonal and
+    sits in near; sx_i, i > 0, flips bit n-1-i within near; sx_0 joins state
+    i to dim-1-(half-1-i), so it lies on far's anti-diagonal. Entries are
+    computed as in the full build (bonds subtracted one by one, -hx as
+    0.0 - hx), so the assembled matrix has its bits.
+    """
+    half = 2 ** (n - 1)
+    spins = np.vstack([np.ones(half), _site_spins(n - 1)])
+    diag = np.zeros(half)
+    for i in range(_n_bonds(spec, n)):
+        diag -= spec.J * (spins[i] * spins[(i + 1) % n])
+    idx = np.arange(half)
+    near = np.zeros((half, half))
+    near[idx, idx] = diag
+    for i in range(1, n):
+        near[idx, idx ^ (1 << (n - 1 - i))] -= spec.hx
+    far = np.zeros((half, half))
+    far[idx, idx[::-1]] -= spec.hx
+    return _frozen((near, far))
+
+
 def build_model(spec: ModelSpec, region: Region, cap: int = DIMENSION_CAP) -> ObservableFamily:
     """Instantiate a built-in model's observable family on a region.
 
@@ -425,6 +596,14 @@ def build_model(spec: ModelSpec, region: Region, cap: int = DIMENSION_CAP) -> Ob
     transverse_ising_chain: H = -J sum sz sz - hx sum sx_i, single observable,
     built from the spin bits: sz sz is diagonal and sx_i flips bit n-1-i. The
     matrix stays real (half the memory of a complex one, a real eigensolve).
+
+    The family is defined by its structure, and its storage is built on
+    first read. A diagonal kind keeps only ``spec``: its level table is
+    counted from (walls, down spins) classes when ``levels`` is first asked
+    for, and its 2^N diagonals are built from the spin bits only when read.
+    The transverse chain is built as its two flip-parity blocks
+    (``_transverse_blocks``), half the entries of the matrix, and ``dense``
+    is assembled from them on first read. The cap holds for every kind.
     """
     expected = spec.region(region.size)
     if (region.geometry, region.boundary) != (expected.geometry, expected.boundary):
@@ -434,31 +613,9 @@ def build_model(spec: ModelSpec, region: Region, cap: int = DIMENSION_CAP) -> Ob
     dim = 2**n
     if dim > cap:
         raise ResourceError(f"dimension 2^{n} = {dim} exceeds cap {cap}")
-
-    spins = _site_spins(n)
     if spec.kind == "transverse_ising_chain":
-        last = n if region.boundary == "periodic" else n - 1
-        diag = np.zeros(dim)
-        for i in range(last):
-            diag -= spec.J * (spins[i] * spins[(i + 1) % n])
-        ham = np.zeros((dim, dim))
-        idx = np.arange(dim)
-        ham[idx, idx] = diag
-        for i in range(n):
-            ham[idx, idx ^ (1 << (n - 1 - i))] -= spec.hx
-        return ObservableFamily(region, spec.labels, matrices=[ham], spec=spec)
-
-    total_sz = spins.sum(axis=0)
-    if spec.kind == "free_spins":
-        number = (1.0 - spins) / 2.0
-        diags = [number.sum(axis=0)]
-    elif spec.kind == "ising_chain":
-        last = n if region.boundary == "periodic" else n - 1
-        bonds = sum(spins[i] * spins[(i + 1) % n] for i in range(last)) if last else 0.0
-        diags = [-spec.J * bonds - spec.h * total_sz, total_sz.copy()]
-    else:  # curie_weiss
-        diags = [-(spec.J / (2.0 * n)) * total_sz**2 - spec.h * total_sz, total_sz.copy()]
-    return ObservableFamily(region, spec.labels, diagonals=diags, spec=spec)
+        return ObservableFamily._of_model(spec, region, _transverse_blocks(spec, n))
+    return ObservableFamily._of_model(spec, region)
 
 
 def _split_defects(family: ObservableFamily) -> tuple[dict, tuple] | tuple[None, None]:

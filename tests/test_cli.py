@@ -815,3 +815,31 @@ class TestFailedRunLeavesNoOutDir:
         path = write_config(tmp_path, text)
         assert main(["pressure", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
+
+
+class TestUnusableOutDirRefusedFirst:
+    """An --out that cannot be made exits 2 before any solve and makes nothing."""
+
+    CONFIG = "model = ising_chain\nJ = 1.0\nh = 0.3\ntheta0 = 0.5, 1.0\nsizes = 3:6\n"
+
+    @pytest.mark.parametrize("where", ["under-a-file", "is-a-file", "deep-under-a-file"])
+    def test_exit_2_without_solving(self, tmp_path, monkeypatch, capsys, where):
+        calls = []
+        monkeypatch.setattr(cli, "pressure_limit", lambda *args, **kwargs: calls.append(args))
+        path = write_config(tmp_path, self.CONFIG)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        out = {"under-a-file": blocker / "out", "is-a-file": blocker,
+               "deep-under-a-file": blocker / "a" / "b"}[where]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["pressure", "--config", str(path), "--out", str(out)]) == 2
+        assert calls == []
+        assert sorted(tmp_path.rglob("*")) == before
+        assert blocker.read_text() == "not a directory\n"
+        assert str(out) in capsys.readouterr().err
+
+    def test_missing_parents_are_still_made(self, tmp_path):
+        path = write_config(tmp_path, self.CONFIG)
+        out = tmp_path / "a" / "b" / "c"
+        assert main(["pressure", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "pressure.csv").is_file()
