@@ -46,58 +46,52 @@ from .kms import (
 from .lattice import ModelSpec, build_model
 
 class ArtifactWriter:
-    """Buffered single writer: runners queue artifacts, flush emits them.
+    """Buffered single writer: runners queue rendered artifacts, flush writes them.
 
-    Flushing happens once the whole config has been consumed, so every CSV
-    header carries the complete config echo alongside the seed. The output
-    directory is made by the flush, so a run that fails leaves none behind.
+    Runners finalize their config before the first solve, so an artifact is
+    rendered when queued and its CSV header carries the complete config echo
+    and the seed. The flush makes the output directory, so a run that fails
+    leaves none behind.
     """
 
-    def __init__(self, out_dir: Path, seed: int):
+    def __init__(self, out_dir: Path, seed: int, cfg: Config):
         self.out_dir = out_dir
         self.seed = seed
-        self.pending: list[tuple] = []
+        self.cfg = cfg
+        self.pending: list[tuple[str, str]] = []  # (file name, text)
         self.records: list[dict] = []
+
+    def _queue(self, name: str, kind: str, rows: int, text: str):
+        self.pending.append((name, text))
+        self.records.append({"path": name, "kind": kind, "rows": rows})
 
     def write_csv(self, name: str, columns: list[str], lines: list[str]):
         """Queue a CSV of rendered body lines (``_line``), one per row."""
-        self.pending.append(("csv", name, columns, list(lines)))
+        body = "".join([line + "\n" for line in lines])
+        self._queue(name, "csv", len(lines), self._header() + ",".join(columns) + "\n" + body)
 
     def write_curve(self, name: str, curve: CurveSamples):
-        self.pending.append(("curve_csv", name, None, curve))
+        meta = dict(curve.metadata, seed=self.seed)
+        body = CurveSamples(curve.grid, curve.values, curve.orientation, meta).to_csv()
+        self._queue(name, "curve_csv", curve.npoints, self._header() + body)
 
     def write_json(self, name: str, payload, rows: int):
-        self.pending.append(("json", name, rows, payload))
+        self._queue(name, "json", rows, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-    def _header(self, echo: dict) -> str:
+    def _header(self) -> str:
         lines = [
             f"# generated={datetime.datetime.now(datetime.timezone.utc).isoformat()}",
             f"# thermolab={__version__}",
             f"# seed={self.seed}",
         ]
-        lines.extend(f"# {k}={v}" for k, v in sorted(echo.items()))
+        lines.extend(f"# {k}={v}" for k, v in sorted(self.cfg.echo().items()))
         return "\n".join(lines) + "\n"
 
-    def flush(self, echo: dict):
+    def flush(self):
+        """Make the output directory and write the queued artifacts."""
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        for kind, name, extra, payload in self.pending:
-            path = self.out_dir / name
-            if kind == "csv":
-                body = "".join([line + "\n" for line in payload])
-                path.write_text(self._header(echo) + ",".join(extra) + "\n" + body)
-                rows = len(payload)
-            elif kind == "curve_csv":
-                meta = dict(payload.metadata)
-                meta["seed"] = self.seed
-                body = CurveSamples(payload.grid, payload.values,
-                                    payload.orientation, meta).to_csv()
-                path.write_text(self._header(echo) + body)
-                rows = payload.npoints
-            else:
-                path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-                rows = extra
-            self.records.append({"path": name, "kind": kind, "rows": rows})
-        self.pending.clear()
+        for name, text in self.pending:
+            (self.out_dir / name).write_text(text)
 
 
 def _cell(v) -> str:
@@ -401,13 +395,15 @@ def run_experiment(subcommand: str, config_path, out_dir, seed: int = 0,
         raise ConfigError(f"unknown subcommand {subcommand!r}; choose from {SUBCOMMANDS}")
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    if threads < 1:
+        raise ConfigError(f"threads must be a positive integer, got {threads}")
     start = time.monotonic()
     out = Path(out_dir)
     _check_out_dir(out)
     cfg = Config.load(config_path)
-    writer = ArtifactWriter(out, seed)
+    writer = ArtifactWriter(out, seed, cfg)
     extras = _RUNNERS[subcommand](cfg, writer, threads)
-    writer.flush(cfg.echo())
+    writer.flush()
 
     manifest = {
         "subcommand": subcommand,

@@ -543,38 +543,30 @@ def concavity_violations(f: CurveSamples, tol: float) -> list[ConcavityViolation
     Each applicable triple (a, b, c) with b = lam*a + (1-lam)*c on the grid is
     tested against its chord; for concave orientation a violation means the
     middle value falls below the chord by more than ``tol`` (above it, for
-    convex). Product grids are audited along every axis line; on chains of
-    samples only collinear consecutive triples apply. Empty list iff the
-    sampled function honors its orientation at resolution ``tol``.
+    convex). The triples are each sample with its neighbours one step before
+    and after it (``_neighbours``): along every axis line of a product grid,
+    in line order, and along the sample order otherwise, where only
+    collinear triples apply. Empty list iff the sampled function honors its
+    orientation at resolution ``tol``.
     """
-    if f.ndim > 1 and f.axes() is not None:
-        out = []
-        for k in range(f.ndim):
-            for line in f.axis_lines(k):
-                out.extend(_chain_violations(f, line, tol))
-        return out
-    return _chain_violations(f, np.arange(f.npoints), tol)
-
-
-def _chain_violations(f: CurveSamples, idx: np.ndarray, tol: float) -> list[ConcavityViolation]:
+    product = f.ndim > 1 and f.axes() is not None
     out = []
-    span = f.span
-    for p in range(1, len(idx) - 1):
-        ia, ib, ic = idx[p - 1], idx[p], idx[p + 1]
-        ca = f.grid[ia] - f.grid[ic]
-        cb = f.grid[ib] - f.grid[ic]
-        denom = float(ca @ ca)
-        if denom <= (_ABSCISSA_FLOOR * span) ** 2:
-            continue
-        lam = float(cb @ ca) / denom
-        if not (0.0 < lam < 1.0):
-            continue
-        if np.max(np.abs(cb - lam * ca)) > 1e-9 * span:
-            continue  # triple not collinear: chord inequality does not apply
-        chord = lam * f.values[ia] + (1.0 - lam) * f.values[ic]
+    for k in range(f.ndim if product else 1):
+        nb = f._neighbours(k)[np.concatenate(f.axis_lines(k)) if product else slice(None)]
+        ia, ib, ic = nb[(nb[:, 1] >= 0) & (nb[:, 3] >= 0), 1:4].T
+        ca, cb = f.grid[ia] - f.grid[ic], f.grid[ib] - f.grid[ic]
+        # stacked as matmul, a row's dot product keeps the bits of ca @ ca
+        denom = np.matmul(ca[:, None], ca[:, :, None])[:, 0, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = np.matmul(cb[:, None], ca[:, :, None])[:, 0, 0] / denom
+            off_line = np.max(np.abs(cb - lam[:, None] * ca), axis=1)
+            chord = lam * f.values[ia] + (1.0 - lam) * f.values[ic]
         defect = chord - f.values[ib] if f.orientation == CONCAVE else f.values[ib] - chord
-        if defect > tol:
-            out.append(ConcavityViolation((int(ia), int(ib), int(ic)), lam, float(defect)))
+        # ends past the abscissa floor, b between them, on their line, a defect past tol
+        hit = ((denom > (_ABSCISSA_FLOOR * f.span) ** 2) & (0.0 < lam) & (lam < 1.0)
+               & (off_line <= 1e-9 * f.span) & (defect > tol))
+        out += map(ConcavityViolation, zip(ia[hit].tolist(), ib[hit].tolist(), ic[hit].tolist()),
+                   lam[hit].tolist(), defect[hit].tolist())
     return out
 
 
@@ -583,31 +575,25 @@ def biconjugate(f: CurveSamples) -> CurveSamples:
 
     For concave input this reproduces the values at every grid point (the
     transform is an involution there); otherwise it returns the concave
-    envelope. Dual grids are assembled from the adjacent-chord slopes, which
-    makes the round trip exact for piecewise-linear concave data. Supported
-    on 1-d and Cartesian product grids.
+    envelope. Dual grids are the products of each axis's distinct chord
+    slopes between neighbouring samples (``_neighbours``), which makes the
+    round trip exact for piecewise-linear concave data; an axis with one
+    value has the slope 0. Supported on 1-d and Cartesian product grids.
     """
     if f.orientation != CONCAVE:
         raise UsageError("biconjugate expects concave-oriented samples")
     if f.npoints == 1:
         return CurveSamples(f.grid, f.values, CONCAVE, f.metadata)
-    if f.ndim == 1:
-        chords = np.diff(f.values) / np.diff(f.grid[:, 0])
-        dual = _distinct(chords)[:, None]
-    else:
-        if f.axes() is None:
-            raise UsageError("biconjugate on dim > 1 requires a Cartesian product grid")
-        per_axis = []
-        for k in range(f.ndim):
-            slopes: list[float] = []
-            for line in f.axis_lines(k):
-                if len(line) > 1:
-                    slopes.extend(
-                        (np.diff(f.values[line]) / np.diff(f.grid[line, k])).tolist()
-                    )
-            per_axis.append(_distinct(np.asarray(slopes)) if slopes else np.array([0.0]))
-        mesh = np.meshgrid(*per_axis, indexing="ij")
-        dual = np.stack([m.ravel() for m in mesh], axis=-1)
+    if f.ndim > 1 and f.axes() is None:
+        raise UsageError("biconjugate on dim > 1 requires a Cartesian product grid")
+    per_axis = []
+    for k in range(f.ndim):
+        step = f._neighbours(k)[:, 2:4]
+        i, j = step[step[:, 1] >= 0].T
+        slopes = (f.values[j] - f.values[i]) / (f.grid[j, k] - f.grid[i, k])
+        per_axis.append(_distinct(slopes) if slopes.size else np.array([0.0]))
+    mesh = np.meshgrid(*per_axis, indexing="ij")
+    dual = np.stack([m.ravel() for m in mesh], axis=-1)
 
     # f* on the dual grid (convex there), then back onto the primal grid
     fstar = np.array([np.max(f.values - f.grid @ th) for th in dual])

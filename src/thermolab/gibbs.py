@@ -152,24 +152,16 @@ def von_neumann_entropy(rho: DensityState) -> float:
 def relative_entropy(rho: DensityState, sigma: DensityState) -> float:
     """S(rho|sigma) = Tr(rho ln rho - rho ln sigma); >= 0, 0 only at rho = sigma.
 
-    Returns math.inf when rho puts more than 1e-12 of weight on the null
-    space of sigma (the divergent case).
+    Tr(rho ln rho) is -S(rho), and the cross term weighs ln sigma's
+    eigenvalues by rho's occupations of sigma's eigenbasis. Returns math.inf
+    when rho puts more than 1e-12 of weight on the null space of sigma (the
+    divergent case).
     """
     if rho.dim != sigma.dim:
         raise UsageError("states live on different dimensions")
-    p = rho.probabilities
     s = sigma.probabilities
-    live = p > EIG_FLOOR
-    plive = p[live]
-    entropy_term = float(plive @ np.log(plive))
-
-    if rho.basis is None and sigma.basis is None:
-        weights = p
-    else:
-        left = rho.basis if rho.basis is not None else np.eye(rho.dim)
-        right = sigma.basis if sigma.basis is not None else np.eye(sigma.dim)
-        overlap = np.abs(left.conj().T @ right) ** 2  # overlap[i, j] = |<u_i|v_j>|^2
-        weights = p @ overlap
+    entropy_term = -von_neumann_entropy(rho)
+    weights = rho.occupations(sigma.basis)
     null_mass = float(weights[s <= SUPPORT_EPS].sum())
     if null_mass > 1e-12:
         return math.inf

@@ -23,9 +23,9 @@ in the most significant bit; bit 0 means sigma_z = +1, bit 1 means -1.
 from __future__ import annotations
 
 import functools
-import math
 import threading
 from dataclasses import dataclass, replace
+from math import comb
 
 import numpy as np
 
@@ -488,76 +488,76 @@ def _n_bonds(spec: ModelSpec, n: int) -> int:
     return n if spec.boundary == "periodic" else n - 1
 
 
+def _kind_columns(spec: ModelSpec, n: int, bonds, total_sz) -> list:
+    """A diagonal kind's observables on n sites from the bond sum (sum of
+    sz_i sz_{i+1} over a chain's bonds) and total sz M of a state or class,
+    both exact integers: the one copy of :func:`build_model`'s formulas.
+    Free spins count the down spins, (n - M)/2."""
+    if spec.kind == "free_spins":
+        return [(n - total_sz) / 2.0]
+    if spec.kind == "ising_chain":
+        energy = -spec.J * bonds - spec.h * total_sz
+    else:  # curie_weiss
+        energy = -(spec.J / (2.0 * n)) * total_sz**2 - spec.h * total_sz
+    return [energy, total_sz]
+
+
 def _model_diagonals(spec: ModelSpec, n: int) -> list[np.ndarray]:
     """A diagonal kind's observables on n sites, one vector over the product
-    basis each, from the spin bits (the formulas of :func:`build_model`)."""
+    basis each, from the bond sums and total sz of the spin bits."""
     spins = _site_spins(n)
-    if spec.kind == "free_spins":
-        return [((1.0 - spins) / 2.0).sum(axis=0)]
-    total_sz = spins.sum(axis=0)
+    bonds = 0.0
     if spec.kind == "ising_chain":
-        last = _n_bonds(spec, n)
-        bonds = sum(spins[i] * spins[(i + 1) % n] for i in range(last)) if last else 0.0
-        return [-spec.J * bonds - spec.h * total_sz, total_sz.copy()]
-    return [-(spec.J / (2.0 * n)) * total_sz**2 - spec.h * total_sz, total_sz.copy()]
+        bonds = sum(spins[i] * spins[(i + 1) % n] for i in range(_n_bonds(spec, n)))
+    return _kind_columns(spec, n, bonds, spins.sum(axis=0))
 
 
 def _chain_classes(n: int, periodic: bool) -> np.ndarray:
     """counts[w, d]: the states of an n-site chain with w walls (bonds that
-    join unequal spins) and d down spins.
-
-    A transfer DP over (first spin, last spin, walls, downs), one site at a
-    time; a periodic chain's closing bond then joins the last spin to the
-    first. Counts are float64, exact while below 2^53 (N <= 53).
+    join unequal spins) and d down spins, counted by runs (Ising 1925) in
+    Python ints and rounded to float64 once. Beside the two uniform states,
+    the u = n - d up and d down spins form alternating runs: w + 1 on the
+    open chain, a = (w + 2)//2 of the first spin and b = (w + 1)//2 of the
+    other; on the ring (w even) r = w/2 of each, placed in n/r ways.
     """
-    table = np.zeros((2, 2, n + 1, n + 1))  # first, last, walls, downs
-    table[0, 0, 0, 0] = table[1, 1, 0, 1] = 1.0
-    for _ in range(n - 1):
-        grown = np.zeros_like(table)
-        for spin in (0, 1):  # 0 up, 1 down; a down spin moves d up by one
-            kept = slice(0, n + 1 - spin)
-            grown[:, spin, :, spin:] += table[:, spin, :, kept]
-            grown[:, spin, 1:, spin:] += table[:, 1 - spin, :-1, kept]
-        table = grown
-    counts = table[0, 0] + table[1, 1]
-    ends_differ = table[0, 1] + table[1, 0]
-    if periodic:
-        counts[1:] += ends_differ[:-1]
-    else:
-        counts += ends_differ
-    return counts
+    table = [[0] * (n + 1) for _ in range(n + 1)]
+    table[0][0] = table[0][n] = 1
+    for d in range(1, n):
+        u = n - d
+        if periodic:
+            for r in range(1, min(u, d) + 1):
+                table[2 * r][d] = n * comb(u - 1, r - 1) * comb(d - 1, r - 1) // r
+        else:
+            for w in range(1, n):
+                a, b = (w + 2) // 2, (w + 1) // 2
+                table[w][d] = (comb(u - 1, a - 1) * comb(d - 1, b - 1)
+                               + comb(d - 1, a - 1) * comb(u - 1, b - 1))
+    return np.array(table, dtype=float)
 
 
 def _counted_levels(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The level table of a diagonal kind on n sites, counted from classes.
 
     A state's observables depend only on its class: its down-spin count d
-    and, on a chain, its walls w. Each class row is :func:`build_model`'s own
-    formula on the class values (bonds = n_bonds - 2w, M = n - 2d), so it
-    has the bits of the states in it; free spins and Curie-Weiss count
-    binomially, the chain by ``_chain_classes``. Classes with equal rows are
-    merged by ``_grouped`` and their counts summed. The classes enter in
-    ascending wall order, so a merged level takes the row of its fewest-wall
-    class, which holds the level's lowest state (0..01..1 has the fewest
-    walls of its d): that decides the sign of the +-0.0 energies a J = 0
-    chain merges. Rows and log-multiplicities equal the grouping of the 2^N
-    states bit for bit. No dimension cap applies here.
+    and, on a chain, its walls w. Each class row is ``_kind_columns`` of the
+    class values (bonds = n_bonds - 2w, M = n - 2d), so it has the bits of
+    the states in it; free spins and Curie-Weiss count binomially, the chain
+    by ``_chain_classes``. Classes with equal rows are merged by ``_grouped``
+    and their counts summed. The classes enter in ascending wall order, so a
+    merged level takes the row of its fewest-wall class, which holds the
+    level's lowest state (0..01..1 has the fewest walls of its d): that
+    decides the sign of the +-0.0 energies a J = 0 chain merges. Rows and
+    log-multiplicities equal the grouping of the 2^N states bit for bit, and
+    no dimension cap applies.
     """
     if spec.kind == "ising_chain":
         counts = _chain_classes(n, spec.boundary == "periodic")
         walls, downs = np.nonzero(counts)  # walls ascending
         counts = counts[walls, downs]
-        bonds = _n_bonds(spec, n) - 2.0 * walls
-        total_sz = n - 2.0 * downs
-        columns = [-spec.J * bonds - spec.h * total_sz, total_sz]
     else:
-        downs = np.arange(n + 1)
-        counts = np.array([math.comb(n, d) for d in downs], dtype=float)
-        total_sz = n - 2.0 * downs
-        if spec.kind == "free_spins":
-            columns = [downs.astype(float)]
-        else:  # curie_weiss
-            columns = [-(spec.J / (2.0 * n)) * total_sz**2 - spec.h * total_sz, total_sz]
+        walls, downs = 0, np.arange(n + 1)
+        counts = np.array([comb(n, d) for d in downs], dtype=float)
+    columns = _kind_columns(spec, n, _n_bonds(spec, n) - 2.0 * walls, n - 2.0 * downs)
     order, breaks, rows = _grouped(columns)
     return rows, np.log(np.add.reduceat(counts[order], np.flatnonzero(breaks)))
 

@@ -843,3 +843,22 @@ class TestUnusableOutDirRefusedFirst:
         out = tmp_path / "a" / "b" / "c"
         assert main(["pressure", "--config", str(path), "--out", str(out)]) == 0
         assert (out / "pressure.csv").is_file()
+
+
+class TestThreadsBelowOneRefused:
+    """--threads below 1 exits 2 before any solve and makes nothing."""
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_exit_2_without_solving(self, tmp_path, monkeypatch, capsys, threads):
+        def never(*args, **kwargs):
+            raise AssertionError("pressure_limit must not run")
+
+        monkeypatch.setattr(cli, "pressure_limit", never)
+        path = write_config(tmp_path, "model = free_spins\ntheta0 = 0.5\nsizes = 3:5\n")
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="threads"):
+            run_experiment("pressure", path, out, threads=threads)
+        assert main(["pressure", "--config", str(path), "--out", str(out),
+                     "--threads", str(threads)]) == 2
+        assert "threads" in capsys.readouterr().err
+        assert not out.exists()

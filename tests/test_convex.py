@@ -658,3 +658,58 @@ class TestOnePointReader:
     def test_index_of_non_finite_point(self):
         with pytest.raises(DataError, match="non-finite point"):
             entropy_curve_1d(11).index_of([np.nan])
+
+
+def chord_audit_reference(f, tol):
+    """The chord audit of a chain of samples, one consecutive triple at a
+    time, and the reasons the skipped triples were skipped."""
+    found, skipped = [], set()
+    for a in range(f.npoints - 2):
+        b, c = a + 1, a + 2
+        ca, cb = f.grid[a] - f.grid[c], f.grid[b] - f.grid[c]
+        denom = float(ca @ ca)
+        if denom <= (1e-13 * f.span) ** 2:
+            skipped.add("floor")
+            continue
+        lam = float(cb @ ca) / denom
+        if not 0.0 < lam < 1.0:
+            skipped.add("lam")
+            continue
+        if np.max(np.abs(cb - lam * ca)) > 1e-9 * f.span:
+            skipped.add("off_line")
+            continue
+        chord = lam * f.values[a] + (1.0 - lam) * f.values[c]
+        defect = chord - f.values[b] if f.orientation == CONCAVE else f.values[b] - chord
+        if defect > tol:
+            found.append(((a, b, c), lam, float(defect)))
+    return found, skipped
+
+
+class TestChordAuditOnAChain:
+    """A 2-d chain of samples is audited triple by triple in sample order."""
+
+    @staticmethod
+    def chain():
+        t = np.arange(6) * 0.1
+        points = [np.stack([t, 2.0 * t], axis=1),  # a straight run
+                  np.stack([0.6 + t[1:4], 1.0 - t[1:4]], axis=1),  # a turn: off the line
+                  # samples 8 and 10, (0.9, 0.7) and its near copy, are closer than the
+                  # floor; sample 9 lies between them on their line
+                  [[0.9 + 5e-16, 0.7 + 1e-11], [0.9 + 1e-15, 0.7]],
+                  np.stack([1.0 + t, 0.7 + 0.0 * t], axis=1)]
+        return np.concatenate(points)
+
+    @pytest.mark.parametrize("orientation", [CONCAVE, CONVEX])
+    def test_matches_the_reference(self, orientation):
+        grid = self.chain()
+        values = -(grid[:, 0] - 0.8) ** 2 + 0.05 * np.random.default_rng(3).normal(size=len(grid))
+        values[9] += -1.0 if orientation == CONCAVE else 1.0  # breaks its chord but is skipped
+        f = CurveSamples(grid, values, orientation)
+        assert f.axes() is None
+        want, skipped = chord_audit_reference(f, 1e-3)
+        assert want and {"floor", "off_line"} <= skipped
+        got = concavity_violations(f, 1e-3)
+        assert [v.indices for v in got] == [w[0] for w in want]
+        for v, (_, lam, defect) in zip(got, want):
+            assert v.lam == pytest.approx(lam, rel=1e-15, abs=1e-15)
+            assert v.defect == pytest.approx(defect, rel=1e-15, abs=1e-15)

@@ -191,3 +191,44 @@ class TestTransverseBlocksFromBits:
         assert fam.dense[0].tobytes() == m.tobytes()
         levels = np.sort(np.linalg.eigvalsh(m))
         assert_allclose(fam.levels()[0][:, 0], levels, atol=1e-12)
+
+
+def exact_chain_counts(n, periodic):
+    """counts[w][d] of an n-site chain as Python ints, by a walk over the
+    sites independent of the run formulas. For each first spin, last spin
+    and wall count the counts over d are packed into one int, n + 2 bits per
+    d (every count is below 2^n); a down spin shifts the packing by one d."""
+    bits = n + 2
+    counts = [[0] * (n + 1) for _ in range(n + 1)]
+    for first in (0, 1):
+        ends = [[0] * (n + 1), [0] * (n + 1)]  # ends[last spin][walls]
+        ends[first][0] = 1 << (bits * first)
+        for _ in range(n - 1):
+            up, down = ends
+            ends = [[up[w] + (down[w - 1] if w else 0) for w in range(n + 1)],
+                    [(down[w] + (up[w - 1] if w else 0)) << bits for w in range(n + 1)]]
+        for last in (0, 1):
+            closing = int(periodic and last != first)  # the ring's last bond
+            for w, packed in enumerate(ends[last][:n + 1 - closing]):
+                for d in range(n + 1):
+                    counts[w + closing][d] += (packed >> (bits * d)) & ((1 << bits) - 1)
+    return counts
+
+
+class TestChainClassesPastFloatExactness:
+    """Past 2^53 every class count is the correctly rounded exact integer."""
+
+    @pytest.mark.parametrize("n", [64, 100, 200])
+    @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "open"])
+    def test_counts_are_the_rounded_exact_integers(self, n, periodic):
+        exact = exact_chain_counts(n, periodic)
+        for w, row in enumerate(exact):
+            if periodic:
+                assert sum(row) == (2 * math.comb(n, w) if w % 2 == 0 else 0)
+            else:
+                assert sum(row) == 2 * math.comb(n - 1, w)
+        for d in range(n + 1):
+            assert sum(row[d] for row in exact) == math.comb(n, d)
+        assert max(map(max, exact)) > 2**53
+        want = np.array([[float(c) for c in row] for row in exact])
+        assert _chain_classes(n, periodic).tobytes() == want.tobytes()
