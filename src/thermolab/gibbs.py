@@ -15,10 +15,12 @@ depend on theta, so a theta grid is one unit of work: ``finite_pressure`` and
 single one (the one-row case), read by ``convex.as_stack`` under the
 package's stack convention. A stacked ``finite_pressure`` is one
 log-sum-exp over a (G, levels) exponent table, and a stacked
-``pressure_limit`` reads each size's family once. Families come from a
-small build-once memo (``lattice._locked_memo``), so the chunks of a
-threaded sweep share one build per size; ``release_families`` empties the
-memo when a sweep ends.
+``pressure_limit`` reads each size's family once and fits all rows of the
+(G, sizes) table of phi_N with array operations; only the least-squares
+solve stays per row (one solve with G right-hand sides changes bits).
+Families come from a small build-once memo (``lattice._locked_memo``), so
+the chunks of a threaded sweep share one build per size;
+``release_families`` empties the memo when a sweep ends.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ SUPPORT_EPS = 1e-12
 # has at most 14 sizes, so all of its families stay in it; with a larger cap,
 # a sweep of over 16 sizes evicts them and every chunk rebuilds every size.
 FAMILY_MEMO_SIZE = 16
+_EPS = float(np.finfo(float).eps)  # read once, not per fitted row
 
 
 class DensityState:
@@ -222,18 +225,19 @@ def variational_gap(rho: DensityState, family: ObservableFamily, theta) -> float
     return n_phi - von_neumann_entropy(rho) + float(th @ expectation_vector(rho, family))
 
 
-def _two_mode_value(narr: np.ndarray, phis: np.ndarray,
-                    step: float) -> tuple[float, float] | None:
+def _two_mode_value(narr: np.ndarray, phis: np.ndarray, step: float):
     """Top log-eigenvalue of a two-mode power sum fitted to N*phi_N, and
-    the fitted mode ratio l2/l1.
+    the fitted mode ratio l2/l1: ``(value, ratio)``, or None when the fitted
+    recurrence has no positive finite dominant root. A (G, sizes) table of
+    phi_N gives a list of G such entries, one ``lstsq`` solve per row.
 
     A periodic chain with a 2x2 transfer structure has
     Tr exp(-theta.Q) = l1^N + l2^N exactly, so the scaled sums satisfy a
     two-term linear recurrence whose dominant root recovers l1 even when
     l2/l1 is close to 1 (long correlation lengths); a pure power l1^N is
     the case l2 = 0. The ratio is the recurrence's root product over the
-    squared dominant root. Returns None when the fitted recurrence has no
-    positive finite dominant root.
+    squared dominant root, taken in Python floats (``np.log`` differs from
+    ``math.log`` in the last bit on some rows).
 
     The one guard also covers a non-finite discriminant, whose NaN or inf
     dominant root fails it. Real inputs do not reach it: for the two
@@ -241,17 +245,19 @@ def _two_mode_value(narr: np.ndarray, phis: np.ndarray,
     recurrence has a positive dominant root and finite coefficients, and a
     non-finite w makes ``lstsq`` raise before the guard.
     """
-    ref = float(phis[-1])
-    w = np.exp(narr * (phis - ref))  # scaled partition sums, O(1) entries
-    design = np.stack([w[1:-1], -w[:-2]], axis=1)
-    target = w[2:]
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    s, p = float(coef[0]), float(coef[1])
-    disc = s * s - 4.0 * p
-    dominant = (s + math.sqrt(max(disc, 0.0))) / 2.0
-    if not 0.0 < dominant < math.inf:
-        return None
-    return ref + math.log(dominant) / step, p / (dominant * dominant)
+    table = np.asarray(phis, dtype=float)
+    rows = table.reshape(-1, table.shape[-1])
+    refs = rows[:, -1:]
+    w = np.exp(narr * (rows - refs))  # scaled partition sums, O(1) entries
+    design = np.stack([w[:, 1:-1], -w[:, :-2]], axis=2)
+    target = w[:, 2:]
+    fits = []
+    for g, ref in enumerate(refs[:, 0].tolist()):
+        s, p = np.linalg.lstsq(design[g], target[g], rcond=None)[0].tolist()
+        dominant = (s + math.sqrt(max(s * s - 4.0 * p, 0.0))) / 2.0
+        fits.append((ref + math.log(dominant) / step, p / (dominant * dominant))
+                    if 0.0 < dominant < math.inf else None)
+    return fits if table.ndim == 2 else fits[0]
 
 
 def _roundoff_floor(narr: np.ndarray, value: float, ratio: float = 0.0) -> float:
@@ -267,7 +273,7 @@ def _roundoff_floor(narr: np.ndarray, value: float, ratio: float = 0.0) -> float
     r = max(ratio, 0.0)
     if r >= 1.0:
         return math.inf
-    return float(np.finfo(float).eps * narr[-1] * (1.0 + abs(value)) / (1.0 - r) ** 2)
+    return _EPS * float(narr[-1]) * (1.0 + abs(value)) / (1.0 - r) ** 2
 
 
 @_locked_memo(FAMILY_MEMO_SIZE)
@@ -306,9 +312,11 @@ def pressure_limit(spec: ModelSpec, theta, sizes, fit: str = "affine",
     control vector gives one PressureEstimate; a (G, k) stack gives a list
     of G, each equal to its own single-vector call. Inputs are checked once
     per call, and each size's family is read once, by one stacked
-    ``finite_pressure``; the fit then runs row by row. Families are built
-    once and kept for later calls (see ``FAMILY_MEMO_SIZE`` and
-    ``release_families``).
+    ``finite_pressure``, into a (G, sizes) table that both fits read with
+    array operations; per row remain one ``np.linalg.lstsq`` call per fit
+    (a multi-right-hand-side solve changes bits) and the root and floor
+    arithmetic in Python floats. Families are built once and kept for later
+    calls (see ``FAMILY_MEMO_SIZE`` and ``release_families``).
     """
     sizes = [int(n) for n in sizes]
     if len(sizes) < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -330,36 +338,28 @@ def pressure_limit(spec: ModelSpec, theta, sizes, fit: str = "affine",
     table = np.stack([finite_pressure(_family(spec, n, cap), stack) for n in sizes], axis=1)
     if fit == "affine":
         design = np.stack([np.ones_like(narr), 1.0 / narr], axis=1)
-        estimates = [_affine_estimate(sizes, design, phis) for phis in table]
+        coefs = np.array([np.linalg.lstsq(design, row, rcond=None)[0] for row in table])
+        # a stacked mat-vec keeps each row's design @ coef bits; design @ coefs.T does not
+        fitted = np.matmul(design[None], coefs[:, :, None])[..., 0]
+        errs = np.maximum(np.abs(fitted - table).max(axis=1), np.abs(table[:, -1] - coefs[:, 0]))
+        fields = zip(coefs[:, 0].tolist(), errs.tolist())
     else:
-        estimates = [_geometric_estimate(sizes, narr, float(steps[0]), phis)
-                     for phis in table]
+        step = float(steps[0])
+        fits = _two_mode_value(narr, table, step)
+        if fits is None or None in fits:
+            raise NumericRangeError("the two-mode fit found no positive dominant root")
+        tails = (_two_mode_value(narr[-4:], table[:, -4:], step) if len(sizes) >= 6
+                 else [None] * len(fits))
+        increments = ((narr[-1] * table[:, -1] - narr[-2] * table[:, -2]) / step).tolist()
+        fields = []
+        for (value, ratio), tail, increment in zip(fits, tails, increments):
+            err = abs(value - increment)
+            if tail is not None:
+                err = min(err, abs(value - tail[0]))
+            fields.append((value, max(err, _roundoff_floor(narr, value, ratio))))
+    estimates = [PressureEstimate(value, tuple(zip(sizes, trail)), err, fit)
+                 for trail, (value, err) in zip(table.tolist(), fields)]
     return estimates[0] if single else estimates
-
-
-def _affine_estimate(sizes: list, design: np.ndarray, phis: np.ndarray) -> PressureEstimate:
-    per_size = tuple((n, float(p)) for n, p in zip(sizes, phis))
-    coef, *_ = np.linalg.lstsq(design, phis, rcond=None)
-    value = float(coef[0])
-    resid = float(np.max(np.abs(design @ coef - phis)))
-    err = max(resid, abs(float(phis[-1]) - value))
-    return PressureEstimate(value, per_size, err, "affine")
-
-
-def _geometric_estimate(sizes: list, narr: np.ndarray, step: float,
-                        phis: np.ndarray) -> PressureEstimate:
-    per_size = tuple((n, float(p)) for n, p in zip(sizes, phis))
-    fitted = _two_mode_value(narr, phis, step)
-    if fitted is None:
-        raise NumericRangeError("the two-mode fit found no positive dominant root")
-    value, ratio = fitted
-    increment = (narr[-1] * phis[-1] - narr[-2] * phis[-2]) / step
-    err = abs(value - float(increment))
-    tail = _two_mode_value(narr[-4:], phis[-4:], step) if len(narr) >= 6 else None
-    if tail is not None:
-        err = min(err, abs(value - tail[0]))
-    floor = _roundoff_floor(narr, value, ratio)
-    return PressureEstimate(value, per_size, max(err, floor), "geometric")
 
 
 def random_density_state(dim: int, rng: np.random.Generator) -> DensityState:
