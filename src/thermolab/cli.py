@@ -311,7 +311,7 @@ def _run_diff_test(cfg: Config, writer: ArtifactWriter, threads: int):
         m_values = _decimal_range(-edge, edge, spacing, decimals)
     except ValueError as exc:
         raise cfg.error(str(exc), "m_spacing") from None
-    curve = entropy_curve(family, family_curve_constraints(family, m_values))
+    curve = entropy_curve(family, family.densities(m_values))
     # rows are picked by the sweep's m, not by a density column (free spins
     # have only (1 - m)/2). Some density of every family is strictly monotone
     # in m, so the box around the window's densities holds exactly its points.

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import CONCAVE, CurveSamples, as_components
+from .convex import CONCAVE, CurveSamples, as_components, as_stack
 from .errors import InfeasibleConstraintError, UsageError
 from .lattice import ModelSpec
 
@@ -361,26 +361,34 @@ def completeness_verdict(family: ErgodicFamily, constraints, tol: float = 1e-9) 
 def entropy_curve(family: ErgodicFamily, grid, tol: float = 1e-9) -> CurveSamples:
     """Sampled entropy function s over a grid of (partial) density constraints.
 
-    Every grid entry must constrain the same components; infeasible points
-    are skipped with an InfeasibleGridPointWarning. One-component grids are
-    sorted by coordinate; higher-dimensional grids keep the caller's order
-    (a chain of samples along the family's reachable set).
+    The grid is a list of constraints (see ``normalize_constraint``), every
+    entry constraining the same components, or a (P, n) array of joint
+    (all-component) constraints, one point per row, read by
+    ``convex.as_stack``. Infeasible points are skipped with an
+    InfeasibleGridPointWarning. One-component grids are sorted by
+    coordinate; higher-dimensional grids keep the caller's order (a chain
+    of samples along the family's reachable set).
     """
-    normalized = [normalize_constraint(family, g) for g in grid]
-    if not normalized:
-        raise UsageError("empty curve grid")
-    comps = sorted(normalized[0])
-    if any(sorted(c) != comps for c in normalized):
-        raise UsageError("all grid points must constrain the same components")
+    if isinstance(grid, np.ndarray):
+        targets = as_stack(grid, family.n_components)[0]
+        comps = list(range(family.n_components))
+        normalized = None
+    else:
+        normalized = [normalize_constraint(family, g) for g in grid]
+        if not normalized:
+            raise UsageError("empty curve grid")
+        comps = sorted(normalized[0])
+        if any(sorted(c) != comps for c in normalized):
+            raise UsageError("all grid points must constrain the same components")
+        targets = np.array([[c[k] for k in comps] for c in normalized])
 
-    targets = np.array([[c[k] for k in comps] for c in normalized])
     values, _, winners, flat = _maximize_stack(family, tuple(comps), targets, tol)
     # a flat row's value is _continuum_maximum's, with no scan to build
     values[flat] = family.entropy(0.0)
     feasible = flat | winners.any(axis=1)
     for i in np.flatnonzero(~feasible):
-        warnings.warn(f"skipping infeasible grid point {normalized[i]}: "
-                      f"{_unreachable(family, normalized[i])}",
+        cons = dict(enumerate(targets[i].tolist())) if normalized is None else normalized[i]
+        warnings.warn(f"skipping infeasible grid point {cons}: {_unreachable(family, cons)}",
                       InfeasibleGridPointWarning, stacklevel=2)
     if not feasible.any():
         raise InfeasibleConstraintError("every grid point was infeasible")
