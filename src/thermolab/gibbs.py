@@ -261,14 +261,17 @@ def _two_mode_value(narr: np.ndarray, phis: np.ndarray, step: float):
 
 
 def _roundoff_floor(narr: np.ndarray, value: float, ratio: float = 0.0) -> float:
-    """Least error a geometric fit may report: the roundoff it inherits.
+    """The roundoff a fitted per-site value inherits: the geometric fit's
+    least error, and the term the affine fit adds to its error.
 
     ln Z_N = N phi_N carries an absolute roundoff of about eps N |phi_N|,
     and the fitted per-site value inherits it from the largest size. The
-    two-mode fit amplifies it by 1/(1 - r)^2, r = l2/l1 its mode ratio:
-    modes of nearly equal size are hard to tell apart. A negative ratio
-    counts as 0, and a ratio of 1 or more (modes the fit cannot separate)
-    gives an infinite floor.
+    affine intercept weighs each size's phi_N by a pseudo-inverse entry,
+    and those weights sum in magnitude to less than the largest size (for
+    every set of three or more sizes up to 14). The two-mode fit amplifies
+    it by 1/(1 - r)^2, r = l2/l1 its mode ratio: modes of nearly equal size
+    are hard to tell apart. A negative ratio counts as 0, and a ratio of 1
+    or more (modes the fit cannot separate) gives an infinite floor.
     """
     r = max(ratio, 0.0)
     if r >= 1.0:
@@ -295,7 +298,9 @@ def pressure_limit(spec: ModelSpec, theta, sizes, fit: str = "affine",
 
     fit="affine": least-squares affine fit in 1/N (surface-over-volume
     corrections); value is the intercept, error the larger of the worst fit
-    residual and the last-size deviation.
+    residual and the last-size deviation, plus the roundoff the intercept
+    inherits (``_roundoff_floor`` at ratio 0), so that on the closed-form
+    periodic chain it covers the actual error.
 
     fit="geometric": fits the scaled partition sums to a two-mode linear
     recurrence and takes its dominant root. It is accepted only where that
@@ -342,7 +347,8 @@ def pressure_limit(spec: ModelSpec, theta, sizes, fit: str = "affine",
         # a stacked mat-vec keeps each row's design @ coef bits; design @ coefs.T does not
         fitted = np.matmul(design[None], coefs[:, :, None])[..., 0]
         errs = np.maximum(np.abs(fitted - table).max(axis=1), np.abs(table[:, -1] - coefs[:, 0]))
-        fields = zip(coefs[:, 0].tolist(), errs.tolist())
+        fields = [(value, err + _roundoff_floor(narr, value))
+                  for value, err in zip(coefs[:, 0].tolist(), errs.tolist())]
     else:
         step = float(steps[0])
         fits = _two_mode_value(narr, table, step)

@@ -3,8 +3,10 @@
 ``pressure_limit`` fits every theta row of its (G, sizes) table with array
 operations and one ``lstsq`` call per row. The reference below is the
 row-by-row algorithm: one ``_affine_estimate`` or ``_geometric_estimate``
-per theta, with numpy scalars, ``np.finfo`` and a fresh design per row. A
-stacked call must give the reference's estimates with the same reprs.
+per theta, with numpy scalars, ``np.finfo`` and a fresh design per row. The
+affine error adds the roundoff term ``reference_roundoff_floor(narr, value)``
+to the row-by-row bar. A stacked call must give the reference's estimates
+with the same reprs.
 """
 
 import math
@@ -44,7 +46,8 @@ def reference_affine_estimate(sizes, design, phis):
     value = float(coef[0])
     resid = float(np.max(np.abs(design @ coef - phis)))
     err = max(resid, abs(float(phis[-1]) - value))
-    return PressureEstimate(value, per_size, err, "affine")
+    floor = reference_roundoff_floor(np.array(sizes, dtype=float), value)
+    return PressureEstimate(value, per_size, err + floor, "affine")
 
 
 def reference_geometric_estimate(sizes, narr, step, phis):
