@@ -347,8 +347,8 @@ def pressure_limit(spec: ModelSpec, theta, sizes, fit: str = "affine",
         # a stacked mat-vec keeps each row's design @ coef bits; design @ coefs.T does not
         fitted = np.matmul(design[None], coefs[:, :, None])[..., 0]
         errs = np.maximum(np.abs(fitted - table).max(axis=1), np.abs(table[:, -1] - coefs[:, 0]))
-        fields = [(value, err + _roundoff_floor(narr, value))
-                  for value, err in zip(coefs[:, 0].tolist(), errs.tolist())]
+        values = coefs[:, 0].tolist()
+        errs = [err + _roundoff_floor(narr, value) for value, err in zip(values, errs.tolist())]
     else:
         step = float(steps[0])
         fits = _two_mode_value(narr, table, step)
@@ -357,14 +357,15 @@ def pressure_limit(spec: ModelSpec, theta, sizes, fit: str = "affine",
         tails = (_two_mode_value(narr[-4:], table[:, -4:], step) if len(sizes) >= 6
                  else [None] * len(fits))
         increments = ((narr[-1] * table[:, -1] - narr[-2] * table[:, -2]) / step).tolist()
-        fields = []
+        values, errs = [], []
         for (value, ratio), tail, increment in zip(fits, tails, increments):
             err = abs(value - increment)
             if tail is not None:
                 err = min(err, abs(value - tail[0]))
-            fields.append((value, max(err, _roundoff_floor(narr, value, ratio))))
+            values.append(value)
+            errs.append(max(err, _roundoff_floor(narr, value, ratio)))
     estimates = [PressureEstimate(value, tuple(zip(sizes, trail)), err, fit)
-                 for trail, (value, err) in zip(table.tolist(), fields)]
+                 for trail, value, err in zip(table.tolist(), values, errs)]
     return estimates[0] if single else estimates
 
 
