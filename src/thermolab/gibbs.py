@@ -266,12 +266,13 @@ def _roundoff_floor(narr: np.ndarray, value: float, ratio: float = 0.0) -> float
 
     ln Z_N = N phi_N carries an absolute roundoff of about eps N |phi_N|,
     and the fitted per-site value inherits it from the largest size. The
-    affine intercept weighs each size's phi_N by a pseudo-inverse entry,
-    and those weights sum in magnitude to less than the largest size (for
-    every set of three or more sizes up to 14). The two-mode fit amplifies
-    it by 1/(1 - r)^2, r = l2/l1 its mode ratio: modes of nearly equal size
-    are hard to tell apart. A negative ratio counts as 0, and a ratio of 1
-    or more (modes the fit cannot separate) gives an infinite floor.
+    two-mode fit amplifies it by 1/(1 - r)^2, r = l2/l1 its mode ratio:
+    modes of nearly equal size are hard to tell apart. A negative ratio
+    counts as 0, and a ratio of 1 or more (modes the fit cannot separate)
+    gives an infinite floor. The affine intercept (ratio 0) weighs each
+    size's phi_N by a pseudo-inverse entry, and those weights sum in
+    magnitude to less than the largest size for every set of three or more
+    sizes up to 14.
     """
     r = max(ratio, 0.0)
     if r >= 1.0:
