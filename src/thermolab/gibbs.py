@@ -9,15 +9,18 @@ once per family), and expectations are read in that basis too.
 Pressures are sums over levels, not states: ``finite_pressure`` reads the
 family's joint level table (distinct eigenvalue rows with multiplicities,
 see ``ObservableFamily.levels``), which the built-in Ising and Curie-Weiss
-families count in O(N^2) rows, building no 2^N states. A family does not
-depend on theta, so a theta grid is one unit of work: ``finite_pressure`` and
-``pressure_limit`` take a (G, k) stack of control vectors as well as a
-single one (the one-row case), read by ``convex.as_stack`` under the
-package's stack convention. A stacked ``finite_pressure`` is one
-log-sum-exp over a (G, levels) exponent table, and a stacked
-``pressure_limit`` reads each size's family once and fits all rows of the
-(G, sizes) table of phi_N with array operations; only the least-squares
-solve stays per row (one solve with G right-hand sides changes bits).
+families count in O(N^2) rows, building no 2^N states, and the built-in open
+transverse chain sums from its N free-fermion modes, building none of its
+2^(N-1) x 2^(N-1) parity blocks (those wait for the level view). A family
+does not depend on theta, so a theta grid is one unit of work:
+``finite_pressure`` and ``pressure_limit`` take a (G, k) stack of control
+vectors as well as a single one (the one-row case), read by
+``convex.as_stack`` under the package's stack convention. A stacked
+``finite_pressure`` is one log-sum-exp over a (G, levels) exponent table,
+and a stacked ``pressure_limit`` reads each size's family once and fits all
+rows of the (G, sizes) table of phi_N with array operations; only the
+least-squares solve stays per row (one solve with G right-hand sides
+changes bits).
 Families come from a small build-once memo (``lattice._locked_memo``), so
 the chunks of a threaded sweep share one build per size;
 ``release_families`` empties the memo when a sweep ends.

@@ -10,8 +10,11 @@ the two inputs of its flip-parity blocks of dimension 2^(N-1) and
 diagonalized in one stacked solve.
 A built-in family is defined by its structure, not its storage: the diagonal
 kinds count their level table from (walls, down spins) classes, and build
-their 2^N diagonals from the spin bits only when something reads them; the
-dense matrix is assembled from its blocks on first read.
+their 2^N diagonals from the spin bits only when something reads them. The
+open transverse chain's levels are the 2^N sums +-eps_1 +- ... +- eps_N of
+its N free-fermion mode energies (``_mode_levels``); its parity blocks are
+built only when the matrix or the eigenvectors are read, and the dense
+matrix is assembled from them on first read.
 Only this module reads that storage: other modules see a family through its
 cached spectral form, the joint level table (``levels``) or the levels with
 the basis they live in (``level_view``).
@@ -155,13 +158,15 @@ class ObservableFamily:
     transverse-field chain); a dense matrix is kept as its flip-parity
     inputs ``near`` and ``far`` (see :meth:`_spectrum`), its one
     representation. A family from :func:`build_model` is defined by its
-    structure: a diagonal kind counts :meth:`levels` from its model, and
-    ``diagonals`` and ``dense`` are built on first read. This class is the
-    only code that reads the storage: every spectral consumer goes through
-    :meth:`levels`, :meth:`level_view`, :meth:`level_energies` or
-    :meth:`control_generator`. The arrays are kept read-only, so a family can
-    be shared between sweeps and threads. ``spec`` records the generating
-    model when the family came out of :func:`build_model`.
+    structure: a diagonal kind counts :meth:`levels` from its model, the open
+    transverse chain sums them from its free-fermion modes, and
+    ``diagonals``, the parity blocks and ``dense`` are built on first read.
+    This class is the only code that reads the storage: every spectral
+    consumer goes through :meth:`levels`, :meth:`level_view`,
+    :meth:`level_energies` or :meth:`control_generator`. The arrays are kept
+    read-only, so a family can be shared between sweeps and threads. ``spec``
+    records the generating model when the family came out of
+    :func:`build_model`.
     """
 
     def __init__(self, region: Region, labels, diagonals=None, matrices=None,
@@ -200,11 +205,10 @@ class ObservableFamily:
         self._setup(region, labels, spec, diagonals, blocks)
 
     @classmethod
-    def _of_model(cls, spec: ModelSpec, region: Region, blocks=None) -> "ObservableFamily":
-        """A built-in model's family: the dense kind from its (near, far)
-        blocks, a diagonal kind from ``spec`` alone."""
+    def _of_model(cls, spec: ModelSpec, region: Region) -> "ObservableFamily":
+        """A built-in model's family, defined by ``spec`` alone."""
         family = cls.__new__(cls)
-        family._setup(region, spec.labels, spec, None, blocks)
+        family._setup(region, spec.labels, spec, None, None)
         return family
 
     def _setup(self, region, labels, spec, diagonals, blocks):
@@ -212,11 +216,11 @@ class ObservableFamily:
         self.labels = tuple(labels)
         self.spec = spec
         self._diagonals = diagonals
-        self._blocks = blocks
+        self._near_far = blocks
         self._dense = None
-        # a diagonal family with no given storage is its model's: its level
-        # table is counted and its diagonals are built when read
-        self._counted = diagonals is None and blocks is None
+        # a family with no given storage is its model's: its storage is built
+        # when read, and its level table counted where the model allows
+        self._model = diagonals is None and blocks is None
         self._levels = None
         self._level_view = None
 
@@ -225,9 +229,19 @@ class ObservableFamily:
         """The observables as vectors over the product basis; None for a dense
         family. A built-in model's are built from the spin bits on first read;
         two threads asking at once at worst both build them."""
-        if self._diagonals is None and self._counted:
+        if self._diagonals is None and self._model and self.is_diagonal:
             self._diagonals = _frozen(_model_diagonals(self.spec, self.region.size))
         return self._diagonals
+
+    @property
+    def _blocks(self) -> tuple | None:
+        """The dense observable's flip-parity inputs (near, far); None for a
+        diagonal family. A built-in model's are built from the spin bits
+        (``_transverse_blocks``) on first read; two threads asking at once at
+        worst both build them."""
+        if self._near_far is None and self._model and not self.is_diagonal:
+            self._near_far = _transverse_blocks(self.spec, self.region.size)
+        return self._near_far
 
     @property
     def dense(self) -> tuple | None:
@@ -235,7 +249,7 @@ class ObservableFamily:
         family. Assembled from its blocks on first read and kept: the top
         half is [near | far reversed], the bottom half the top's flip
         image."""
-        if self._dense is None and self._blocks is not None:
+        if self._dense is None and not self.is_diagonal:
             near, far = self._blocks
             top = np.concatenate([near, far[:, ::-1]], axis=1)
             self._dense = _frozen([np.concatenate([top, top[::-1, ::-1]])])
@@ -248,7 +262,9 @@ class ObservableFamily:
         bitwise-equal floats, and the basis is the product basis (None). The
         dense family has one level per eigenvalue, in ascending order; its
         eigenvectors are computed only when ``vectors`` is set, the basis is
-        None otherwise.
+        None otherwise. The open transverse chain's :meth:`levels` do not come
+        from here but from its modes (``_mode_levels``); its blocks are built
+        when this first reads them, for :meth:`level_view`.
 
         Grouping is a stable lexicographic sort of the states (first
         observable first) with a level break wherever neighbours differ
@@ -293,16 +309,20 @@ class ObservableFamily:
         on one joint eigenspace, whose dimension is ``exp`` of entry ``k`` of
         the second. Taken from :meth:`level_view` when that is built. A
         built-in diagonal family counts it otherwise (``_counted_levels``:
-        O(N^2) classes, no 2^N storage, the grouping's bits); other families
-        compute it without eigenvectors. Computed on first use and kept; two
-        threads asking at once at worst both compute it.
+        O(N^2) classes, no 2^N storage, the grouping's bits), and the built-in
+        open transverse chain sums it from its N free-fermion modes
+        (``_mode_levels``: one 2N x 2N eigensolve, no parity blocks); other
+        families compute it without eigenvectors. Computed on first use and
+        kept; two threads asking at once at worst both compute it.
         """
         if self._levels is None:
             view = self._level_view
             if view is not None:
                 self._levels = (view.rows, view.log_mult)
-            elif self._counted:
+            elif self._model and self.is_diagonal:
                 self._levels = _frozen(_counted_levels(self.spec, self.region.size))
+            elif self._model and self.spec.boundary == "open":
+                self._levels = _frozen(_mode_levels(self.spec, self.region.size))
             else:
                 self._levels = _frozen(self._spectrum(vectors=False)[:2])
         return self._levels
@@ -331,7 +351,10 @@ class ObservableFamily:
 
     @property
     def is_diagonal(self) -> bool:
-        return self._blocks is None
+        """False for the dense family, whether or not its blocks are built."""
+        if self._model:
+            return self.spec.kind != "transverse_ising_chain"
+        return self._near_far is None
 
     def level_energies(self, theta) -> np.ndarray:
         """theta . Q on each level of :meth:`level_view`, summed in column order."""
@@ -587,6 +610,30 @@ def _transverse_blocks(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray]
     return _frozen((near, far))
 
 
+def _mode_levels(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The open transverse chain's level table from its free-fermion modes.
+
+    By the Jordan-Wigner map the open chain is a free-fermion chain (Lieb,
+    Schultz and Mattis 1961; Pfeuty 1970): H = sum_k eps_k (2 n_k - 1), so
+    its 2^n levels are the sums +-eps_1 +- ... +-eps_n. The mode energies
+    eps_k are the singular values of the n x n bidiagonal matrix with hx on
+    the diagonal and J above it, read as the upper n eigenvalues of its
+    Golub-Kahan form: the 2n x 2n symmetric tridiagonal matrix with zero
+    diagonal and off-diagonal (hx, J, hx, ..., J, hx), one eigensolve. The
+    sums are built by n outer sums, modes ascending, then one stable sort.
+    Each level is a row of its own with multiplicity 1 (log_mult 0), as the
+    dense spectrum has; a level agrees with the block eigensolve's to
+    roundoff, not bit for bit.
+    """
+    off = np.full(2 * n - 1, spec.hx, dtype=float)
+    off[1::2] = spec.J
+    modes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))[n:]
+    levels = np.zeros(1)
+    for eps in modes:
+        levels = np.add.outer(levels, (-eps, eps)).ravel()
+    return np.sort(levels, kind="stable")[:, None], np.zeros(levels.size)
+
+
 def build_model(spec: ModelSpec, region: Region, cap: int = DIMENSION_CAP) -> ObservableFamily:
     """Instantiate a built-in model's observable family on a region.
 
@@ -598,12 +645,17 @@ def build_model(spec: ModelSpec, region: Region, cap: int = DIMENSION_CAP) -> Ob
     matrix stays real (half the memory of a complex one, a real eigensolve).
 
     The family is defined by its structure, and its storage is built on
-    first read. A diagonal kind keeps only ``spec``: its level table is
-    counted from (walls, down spins) classes when ``levels`` is first asked
-    for, and its 2^N diagonals are built from the spin bits only when read.
-    The transverse chain is built as its two flip-parity blocks
-    (``_transverse_blocks``), half the entries of the matrix, and ``dense``
-    is assembled from them on first read. The cap holds for every kind.
+    first read. Every kind keeps only ``spec``. A diagonal kind's level table
+    is counted from (walls, down spins) classes when ``levels`` is first
+    asked for, and its 2^N diagonals are built from the spin bits only when
+    read. The open transverse chain's level table is summed from its N
+    free-fermion modes (``_mode_levels``), so a pressure sweep stores nothing
+    of size 2^N x 2^N. The transverse chain's two flip-parity blocks
+    (``_transverse_blocks``, half the entries of the matrix) are built when
+    ``dense`` or ``level_view`` first reads them, or, on the periodic chain,
+    whose Jordan-Wigner sectors have parity-dependent boundary conditions,
+    when ``levels`` does; ``dense`` is assembled from them on first read.
+    The cap holds for every kind.
     """
     expected = spec.region(region.size)
     if (region.geometry, region.boundary) != (expected.geometry, expected.boundary):
@@ -613,8 +665,6 @@ def build_model(spec: ModelSpec, region: Region, cap: int = DIMENSION_CAP) -> Ob
     dim = 2**n
     if dim > cap:
         raise ResourceError(f"dimension 2^{n} = {dim} exceeds cap {cap}")
-    if spec.kind == "transverse_ising_chain":
-        return ObservableFamily._of_model(spec, region, _transverse_blocks(spec, n))
     return ObservableFamily._of_model(spec, region)
 
 
