@@ -22,8 +22,8 @@ def open_chain(j, hx):
     return ModelSpec("transverse_ising_chain", J=j, hx=hx, boundary="open")
 
 
-def _count_eigvalsh(monkeypatch):
-    """Record the shape of every np.linalg.eigvalsh and eigh argument."""
+def _record_eigensolves(monkeypatch):
+    """Record the name and argument shape of every np.linalg.eigh and eigvalsh call."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         def counting(a, *args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
@@ -64,7 +64,7 @@ class TestModeTable:
         for n in (1, 2, 5):
             fam = build_model(spec, spec.region(n))
             assert fam._near_far is None and not fam.is_diagonal
-            calls = _count_eigvalsh(monkeypatch)
+            calls = _record_eigensolves(monkeypatch)
             rows, _ = fam.levels()
             assert calls == [("eigvalsh", (2, 2**(n - 1), 2**(n - 1)))]
             assert fam._near_far is not None
@@ -137,7 +137,7 @@ class TestPressureSweepBuildsNoBlocks:
         sizes = list(range(3, 15))
         gibbs.release_families()
         try:
-            calls = _count_eigvalsh(monkeypatch)
+            calls = _record_eigensolves(monkeypatch)
             estimates = pressure_limit(spec, [[0.4], [0.9], [1.6]], sizes, fit="affine")
             assert calls == [("eigvalsh", (2 * n, 2 * n)) for n in sizes]
             monkeypatch.undo()
