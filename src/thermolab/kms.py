@@ -28,6 +28,14 @@ and kept in a small build-once memo (``lattice._locked_memo``) that
 pointwise and smeared residuals share (see ``FOLD_MEMO_SIZE`` and
 ``release_folds``).
 
+Site Paulis are monomial probes, a permutation times one phase per row,
+and their dense matrices are built only when read. On a diagonal family
+(product basis) a fold with a monomial operand has one possibly nonzero
+product per row, so it costs O(dim) instead of O(dim^2), with the dense
+fold's bits; a dense family rotates both probes' matrices into its
+eigenbasis first. The smeared sides take one complex exp per distinct Bohr
+frequency and time, not per level pair.
+
 Test functions are Gaussians: entire, rapidly decaying, and with f(t-i)
 available in closed form along the shifted line.
 """
@@ -46,7 +54,9 @@ from .lattice import ObservableFamily, _frozen, _locked_memo, lift_site_operator
 
 # Residual checks form the dim x dim cross table A~[j,k] B~[k,j] (and, for a
 # dense family, rotate both probes into its eigenbasis) before folding it over
-# level pairs, once per distinct (family, A, B).
+# level pairs, once per distinct (family, A, B); a monomial operand on a
+# diagonal family needs only dim of its entries, but the cap holds for every
+# operand.
 _RESIDUAL_DIM_CAP = 2**10
 # Folds kept by the residuals' memo. default_probes makes 3 distinct pairs,
 # so one kms-verify run's folds all stay in it.
@@ -60,42 +70,77 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULI = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
+# Each Pauli's entries as every lift of it rounds them: kron multiplies them by
+# the identities' 1.0 as complex numbers, which turns -1j's real -0.0 into +0.0.
+_PAULI_ENTRIES = {w: lift_site_operator(p, 0, 1) for w, p in _PAULI.items()}
 
 
-@dataclass(frozen=True, eq=False)
 class TestOperator:
-    """A labeled square matrix used as a probe in residual checks.
+    """A labeled square probe used in residual checks.
 
-    The matrix is a read-only view, and operators compare and hash by
-    identity, so the residuals' fold memo can key on the operator itself.
+    A probe is either dense, ``TestOperator(matrix, label)``, or monomial,
+    with one nonzero per row, as every Pauli string is: ``cols[j]`` is the
+    column of row j's nonzero and ``phase[j]`` its value (see
+    :func:`site_pauli`). A monomial probe's ``matrix`` is built on first
+    read; a dense probe's ``cols`` and ``phase`` are None. Every array is a
+    read-only view, and operators compare and hash by identity, so the
+    residuals' fold memo can key on the operator itself.
     """
 
     __test__ = False  # not a pytest class, despite the name
 
-    matrix: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+    def __init__(self, matrix: np.ndarray, label: str):
+        m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise UsageError(f"test operator must be square, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise UsageError("test operator has non-finite entries")
-        object.__setattr__(self, "matrix", _frozen([m])[0])
+        vars(self).update(_matrix=_frozen([m])[0], _build=None, label=label,
+                          cols=None, phase=None)
+
+    @classmethod
+    def _monomial(cls, cols: np.ndarray, phase: np.ndarray, label: str, build):
+        """A monomial probe whose dense matrix ``build()`` makes on first read."""
+        op = cls.__new__(cls)
+        cols, phase = _frozen([cols, phase])
+        vars(op).update(_matrix=None, _build=build, label=label, cols=cols, phase=phase)
+        return op
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        # two threads reading an unbuilt matrix at once at worst both build it
+        if self._matrix is None:
+            vars(self)["_matrix"] = _frozen([np.asarray(self._build(), dtype=complex)])[0]
+        return self._matrix
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[0] if self.cols is None else len(self.cols)
 
     def max_norm(self) -> float:
-        return float(np.max(np.abs(self.matrix)))
+        return float(np.max(np.abs(self.matrix if self.cols is None else self.phase)))
 
 
 def site_pauli(which: str, site: int, n_sites: int) -> TestOperator:
-    """sigma_{x|y|z} embedded at a site of the n-site spin space."""
+    """sigma_{x|y|z} embedded at a site of the n-site spin space, as a
+    monomial probe: a bit flip (x, y) or none (z) times one phase per row,
+    built in O(2^n). Its ``matrix``, read on demand, is
+    ``lift_site_operator``'s; each phase has the bits of that matrix's entry
+    (signed zeros included), as both come from the same products."""
     if which not in _PAULI:
         raise UsageError(f"which must be one of x, y, z, got {which!r}")
-    return TestOperator(lift_site_operator(_PAULI[which], site, n_sites), f"s{which}@{site}")
+    if not 0 <= site < n_sites:
+        raise UsageError(f"site {site} out of range for {n_sites} sites")
+    shift = n_sites - site - 1  # site 0 is the most significant bit
+    rows = np.arange(2**n_sites)
+    bit = (rows >> shift) & 1
+    flip = 0 if which == "z" else 1
+    phase = _PAULI_ENTRIES[which][bit, bit ^ flip]
+    return TestOperator._monomial(rows ^ (flip << shift), phase, f"s{which}@{site}",
+                                  lambda: lift_site_operator(_PAULI[which], site, n_sites))
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, label: str = "random") -> TestOperator:
@@ -155,24 +200,62 @@ def evolve(a: TestOperator, family: ObservableFamily, theta, t: float) -> TestOp
     return TestOperator(moved, f"alpha[{t}]({a.label})")
 
 
-def _folded_cross(atil: np.ndarray, btil: np.ndarray, index: np.ndarray,
-                  n_levels: int) -> np.ndarray:
+def _monomial_products(atil, btil, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k, p) with k[j] the one column at which row j of A~ can meet column j
+    of B~ and p[j] = A~[j, k[j]] * B~[k[j], j], when A~ or B~ is a monomial
+    probe; every other product A~[j,k] B~[k,j] is a zero."""
+    rows = np.arange(dim)
+    if isinstance(atil, TestOperator):
+        k, a_vals = atil.cols, atil.phase
+    else:  # B~[k, j] is nonzero only where B's column map sends k to j
+        k = np.empty_like(rows)
+        k[btil.cols] = rows
+        a_vals = atil[rows, k]
+    if isinstance(btil, TestOperator):
+        b_vals = np.where(btil.cols[k] == rows, btil.phase[k], 0.0)
+    else:
+        b_vals = btil[k, rows]
+    return k, a_vals * b_vals
+
+
+def _folded_cross(atil, btil, index: np.ndarray, n_levels: int) -> np.ndarray:
     """cross[l, m]: the sum of A~[j,k] B~[k,j] over j in level l and k in level m.
 
-    Built one strip of _FOLD_ROWS rows of A~ at a time, so each strip of the
-    product and its level-pair indices stay in cache and B~ is read by
-    column strips rather than transposed whole.
+    A~ and B~ are dense matrices, or monomial probes (a TestOperator with
+    ``cols``) in the product basis. Each strip of _FOLD_ROWS rows of A~ is
+    summed into the table by its own ``bincount``, and the strips' partial
+    sums are added in order. With two dense operands a strip is the
+    _FOLD_ROWS x dim block of products, so it and its level-pair indices
+    stay in cache and B~ is read by column strips rather than transposed
+    whole. With a monomial operand a strip is its rows' one possibly nonzero
+    product each, the same complex multiply in the same operand order: an
+    O(dim) fold with the dense fold's bits, as the zero products it skips
+    leave every partial sum's bits alone.
     """
     size = n_levels * n_levels
+    if isinstance(atil, TestOperator) or isinstance(btil, TestOperator):
+        k, products = _monomial_products(atil, btil, len(index))
+        pairs = index * n_levels + index[k]
+        strips = ((pairs[r], products[r]) for r in _row_strips(len(index)))
+    else:
+        strips = ((np.add.outer(index[r] * n_levels, index).ravel(),
+                   (atil[r] * btil[:, r].T).ravel()) for r in _row_strips(len(index)))
     real = np.zeros(size)
     imag = np.zeros(size)
-    for start in range(0, len(index), _FOLD_ROWS):
-        rows = slice(start, start + _FOLD_ROWS)
-        strip = atil[rows] * btil[:, rows].T
-        pair = np.add.outer(index[rows] * n_levels, index).ravel()
-        real += np.bincount(pair, weights=strip.real.ravel(), minlength=size)
-        imag += np.bincount(pair, weights=strip.imag.ravel(), minlength=size)
+    for pair, strip in strips:
+        real += np.bincount(pair, weights=strip.real, minlength=size)
+        imag += np.bincount(pair, weights=strip.imag, minlength=size)
     return (real + 1j * imag).reshape(n_levels, n_levels)
+
+
+def _row_strips(dim: int):
+    return (slice(start, start + _FOLD_ROWS) for start in range(0, dim, _FOLD_ROWS))
+
+
+def _fold_operand(op: TestOperator, basis: np.ndarray | None):
+    """A probe as the fold reads it: a monomial probe as itself in the product
+    basis, anything else as its matrix rotated into the basis."""
+    return op if basis is None and op.cols is not None else _rotate(op.matrix, basis)
 
 
 @_locked_memo(FOLD_MEMO_SIZE)
@@ -183,7 +266,7 @@ def _memo_cross(family: ObservableFamily, a: TestOperator, b: TestOperator) -> n
     # _folded_cross is looked up at call time, so a rebinding (tests) sees
     # every fold
     view = family.level_view()
-    cross = _folded_cross(_rotate(a.matrix, view.basis), _rotate(b.matrix, view.basis),
+    cross = _folded_cross(_fold_operand(a, view.basis), _fold_operand(b, view.basis),
                           view.index, len(view.rows))
     return _frozen([cross])[0]
 
@@ -250,13 +333,20 @@ def _smeared_sides(f: GaussianTestFunction, w_lhs: np.ndarray, w_rhs: np.ndarray
                    freqs: np.ndarray, t_range: float, h: float) -> tuple[complex, complex]:
     """(int f(t) LHS(t) dt, int f(t-i) RHS(t) dt) by the trapezoid rule at step h
     over [-t_range, t_range], with LHS(t) = sum w_lhs e^{i freqs t} and
-    RHS(t) = sum w_rhs e^{i freqs t} over the level pairs."""
+    RHS(t) = sum w_rhs e^{i freqs t} over the level pairs.
+
+    Level pairs share Bohr frequencies (about 80 distinct of 121 pairs on
+    the 6-site Ising ring), so each block of times takes one complex exp per
+    distinct frequency and gathers the (times, pairs) phase table from
+    them: the same values as a full table, gathered C-ordered so that its
+    products with the weights sum in the full table's order."""
     ts = np.arange(-t_range, t_range + h / 2.0, h)
+    uniq, inverse = np.unique(freqs, return_inverse=True)
     lhs_t = np.empty(len(ts), dtype=complex)
     rhs_t = np.empty(len(ts), dtype=complex)
     for start in range(0, len(ts), 128):  # bound the phase-table memory
         block = ts[start : start + 128]
-        phases = np.exp(1j * np.outer(block, freqs))
+        phases = np.exp(1j * np.outer(block, uniq)).take(inverse, axis=1)
         lhs_t[start : start + 128] = phases @ w_lhs
         rhs_t[start : start + 128] = phases @ w_rhs
     lhs_int = np.trapezoid(f.values(ts) * lhs_t, dx=h)
@@ -274,8 +364,13 @@ def kms_smeared_residual(family: ObservableFamily, theta, a: TestOperator, b: Te
     |f| > 1e-14 on the strip and the step to resolving the fastest Bohr
     frequency of theta.Q. A step-halving disagreement above
     1e-6 * max|A| * max|B| (entrywise, see TestOperator.max_norm) raises
-    QuadratureError; the half-step value is returned otherwise.
+    QuadratureError; the half-step value is returned otherwise. A given
+    t_range or step must be positive and finite (an empty time grid would
+    read as a perfect pass), else UsageError.
     """
+    for name, value in (("t_range", t_range), ("step", step)):
+        if value is not None and not (value > 0 and math.isfinite(value)):
+            raise UsageError(f"{name} must be positive and finite, got {value}")
     _check_dims(family, a, b)
     lam, log_z, cross, delta = _residual_tables(family, theta, a, b)
     w_lhs = (np.exp(-lam[:, None] - log_z) * cross).ravel()

@@ -539,3 +539,19 @@ class TestSmearedSidesClosedForm:
                 lhs, rhs = _smeared_sides(f, w_lhs, w_rhs, freqs, f.support_radius(), h)
                 assert abs(lhs - np.sum(w_lhs * gauss)) <= 1e-13
                 assert abs(rhs - np.sum(w_rhs * gauss * np.exp(-freqs))) <= 1e-13
+
+
+class TestSmearedResidualInputs:
+    """A time grid that is empty, unbounded or undefined is refused: an empty
+    grid would integrate to 0 and read as a perfect KMS pass."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"step": -0.1}, {"step": 0.0}, {"step": math.nan}, {"step": math.inf},
+        {"t_range": -1.0}, {"t_range": 0.0}, {"t_range": math.nan}, {"t_range": math.inf},
+    ], ids=repr)
+    def test_refused(self, kwargs):
+        fam = ising(3)
+        a = site_pauli("x", 0, 3)
+        name = next(iter(kwargs))
+        with pytest.raises(UsageError, match=f"{name} must be positive and finite"):
+            kms_smeared_residual(fam, [1.0, 0.2], a, a, GaussianTestFunction(2.0), **kwargs)
