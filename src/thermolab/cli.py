@@ -26,13 +26,13 @@ from .completeness import (
     ErgodicFamily,
     completeness_verdict,
     entropy_curve,
-    family_curve_constraints,
+    family_curve_constraints,  # noqa: F401  (kept in cli; the runners pass arrays)
     mean_field_pressure,
     pressure_slope_gap,
 )
 # callers import Config and _parse_number_list from here too
 from .config import Config, _decimal_range, _decimals, _parse_number_list  # noqa: F401
-from .convex import CurveSamples, biconjugate, conjugate, tangent_set
+from .convex import CurveSamples, biconjugate, conjugate, float_lines, tangent_set
 from .errors import ConfigError, ThermolabError, UsageError
 from .gibbs import pressure_limit, release_families
 from .kms import (
@@ -66,7 +66,7 @@ class ArtifactWriter:
         self.records.append({"path": name, "kind": kind, "rows": rows})
 
     def write_csv(self, name: str, columns: list[str], lines: list[str]):
-        """Queue a CSV of rendered body lines (``_line``), one per row."""
+        """Queue a CSV of body lines (``float_lines`` or ``_line``), one per row."""
         body = "".join([line + "\n" for line in lines])
         self._queue(name, "csv", len(lines), self._header() + ",".join(columns) + "\n" + body)
 
@@ -101,7 +101,7 @@ def _cell(v) -> str:
 
 
 def _line(row) -> str:
-    """One CSV body line: floats by ``repr``, everything else by ``str``."""
+    """One CSV body line of a mixed row: floats by ``repr``, the rest by ``str``."""
     return ",".join(map(_cell, row))
 
 
@@ -163,13 +163,13 @@ def _run_pressure(cfg: Config, writer: ArtifactWriter, threads: int):
     return {}
 
 
-def _constraints_from_config(cfg: Config, family: ErgodicFamily, mode: str) -> list:
-    """Energy constraints from ``e_values``, or points of the family curve
-    from ``m_values``, as ``constrain`` (default ``mode``) asks."""
+def _constraints_from_config(cfg: Config, family: ErgodicFamily, mode: str):
+    """Energy constraints (dicts) from ``e_values``, or the family curve at
+    ``m_values`` as a (P, n) array, as ``constrain`` (default ``mode``) asks."""
     mode = cfg.get_str("constrain", mode, choices=("energy", "joint"))
     if mode == "energy":
         return [{0: e} for e in cfg.get_floats("e_values", required=True)]
-    return family_curve_constraints(family, cfg.get_floats("m_values", required=True))
+    return family.densities(cfg.get_floats("m_values", required=True))
 
 
 def _run_entropy_curve(cfg: Config, writer: ArtifactWriter, threads: int):
@@ -199,8 +199,7 @@ def _run_legendre(cfg: Config, writer: ArtifactWriter, threads: int):
 
     results = _pool_map(one, thetas, threads)
     columns = [f"theta_{k}" for k in range(curve.ndim)] + ["value", "scan_value"]
-    writer.write_csv("pressure_curve.csv", columns,
-                     [_line(tuple(th) + tuple(res)) for th, res in zip(thetas, results)])
+    writer.write_csv("pressure_curve.csv", columns, float_lines(np.hstack([thetas, results])))
 
     extras = {}
     if curve.ndim == 1 or curve.axes() is not None:
@@ -319,21 +318,21 @@ def _run_diff_test(cfg: Config, writer: ArtifactWriter, threads: int):
     reported = np.all((curve.grid >= window.min(axis=0))
                       & (curve.grid <= window.max(axis=0)), axis=1)
     inner = np.flatnonzero(reported[2:curve.npoints - 2]) + 2
-    width_rows = []
+    widths = np.empty((0, 2 * curve.ndim + 1))
     if inner.size:
         ts = tangent_set(curve, curve.grid[inner])
-        width_rows = np.column_stack([ts.point, ts.width, ts.max_width]).tolist()
+        widths = np.column_stack([ts.point, ts.width, ts.max_width])
     coord_cols = [f"q_{k}" for k in range(curve.ndim)]
     width_cols = [f"width_{k}" for k in range(curve.ndim)]
     writer.write_csv("tangent_widths.csv", coord_cols + width_cols + ["max_width"],
-                     [_line(row) for row in width_rows])
-    max_tangent_width = max((r[-1] for r in width_rows), default=0.0)
+                     float_lines(widths))
+    max_tangent_width = max(widths[:, -1].tolist(), default=0.0)
     # a large width along a density strictly monotone in m means a kink; along
     # one that turns back (q_0 at its vertex) the width is large on a smooth curve
     chart = next(k for k, (a, b, _) in enumerate(map(family.component_coefficients,
                                                       range(family.n_components)))
                  if b != 0.0 and abs(b) >= 2.0 * abs(a))
-    max_chart_width = max((r[curve.ndim + chart] for r in width_rows), default=0.0)
+    max_chart_width = max(widths[:, curve.ndim + chart].tolist(), default=0.0)
 
     # one-sided pressure slopes across the symmetry-breaking control value
     base = [theta0] + [0.0] * (family.n_components - 1)
@@ -349,7 +348,7 @@ def _run_diff_test(cfg: Config, writer: ArtifactWriter, threads: int):
             return mean_field_pressure(family, [theta0] + [0.0] * (family.n_components - 2) + [t1])
         phis = _pool_map(scan_phi, theta1_values, threads)
         writer.write_csv("pressure_scan.csv", ["theta_1", "value"],
-                         [_line(row) for row in zip(theta1_values, phis)])
+                         float_lines(np.column_stack([theta1_values, phis])))
 
     return {
         "pressure_kink": {

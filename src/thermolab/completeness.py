@@ -47,6 +47,16 @@ class InfeasibleGridPointWarning(UserWarning):
     """A requested curve grid point is unreachable by the family."""
 
 
+def _eta(m: float) -> float:
+    """``ErgodicFamily.entropy`` of a float m, for the solver's scalar calls."""
+    p = (1.0 + m) / 2.0
+    out = 0.0
+    for w in (p, 1.0 - p):
+        if w > 0.0:
+            out -= w * math.log(w)
+    return out
+
+
 class ErgodicFamily:
     """Product states of polarization m, with their density functions.
 
@@ -87,12 +97,7 @@ class ErgodicFamily:
         solver passes scalars (``math.log``); only ``_scan_arrays`` passes an
         array, whose ``np.log`` can differ from ``math.log`` in the last bit."""
         if np.ndim(m) == 0:
-            p = (1.0 + float(m)) / 2.0
-            out = 0.0
-            for w in (p, 1.0 - p):
-                if w > 0.0:
-                    out -= w * math.log(w)
-            return out
+            return _eta(float(m))
         m = np.asarray(m, dtype=float)
         p = np.clip((1.0 + m) / 2.0, 0.0, 1.0)
         out = np.zeros_like(p)
@@ -284,7 +289,7 @@ def _maximize_stack(family: ErgodicFamily, comps: tuple, targets, tol: float):
     The candidates are the roots of one non-flat component per row: the
     lowest-index linear one (exact to one rounding), else the lowest-index
     one. Those within max(tol, 1e-9) * coefficient_scale[k] of every target
-    are feasible, and eta takes the scalar ``math.log`` path on them alone.
+    are feasible, and eta takes the scalar ``math.log`` path, ``_eta``, on them.
     """
     if not 0.0 < tol < math.inf:
         raise UsageError(f"tol must be positive and finite, got {tol}")
@@ -304,7 +309,7 @@ def _maximize_stack(family: ErgodicFamily, comps: tuple, targets, tol: float):
             fn = family.component_offset(k, targets[:, j, None])
             keep &= np.abs(fn(x)) <= floor * family.coefficient_scale[k]
     eta = np.full(x.shape, -np.inf)
-    eta[keep] = list(map(family.entropy, x[keep].tolist()))
+    eta[keep] = list(map(_eta, x[keep].tolist()))
     best = eta.max(axis=1)
     # the candidates are sorted and already merged (consecutive roots are
     # over MERGE_RADIUS apart), and so is any subsequence of them
@@ -443,7 +448,7 @@ def mean_field_pressure(family: ErgodicFamily, theta) -> float:
         if m is not None:
             m *= sign
             # eta is even; eta(|m|) keeps the mirror symmetry exact
-            best = max(best, family.entropy(abs(m)) - sum(
+            best = max(best, _eta(abs(m)) - sum(
                 t * family.component_offset(k, 0.0)(m) for k, t in enumerate(th)))
     return best
 

@@ -127,6 +127,12 @@ def as_stack(x, n: int) -> tuple[np.ndarray, bool]:
     return stack, False
 
 
+def float_lines(table) -> list[str]:
+    """CSV lines of a float table: ``repr`` of ``.tolist()``'s Python floats,
+    the bytes of ``repr(float(v))`` with no Python call per cell."""
+    return [",".join(map(repr, row)) for row in np.asarray(table, dtype=float).tolist()]
+
+
 class CurveSamples:
     """A scalar function sampled on an explicit grid, with orientation.
 
@@ -172,7 +178,6 @@ class CurveSamples:
         self._axes_cache: tuple = ()  # () = not computed, (None,) or (list,)
         self._lines: dict = {}  # axis k -> (lines, (line, position) of each sample)
         self._steps: dict = {}  # axis k -> neighbour table, see _neighbours
-        self._rows: dict | None = None  # grid row (tuple) -> sample index
 
     @property
     def npoints(self) -> int:
@@ -244,15 +249,17 @@ class CurveSamples:
             self._steps[k] = table
         return self._steps[k]
 
-    def _row_index(self) -> dict:
-        """Sample index of each grid row, keyed by the row's float tuple.
-
-        Rows are pairwise distinct, so a point equal to a row is that
-        sample for ``index_of`` too. Computed once.
-        """
-        if self._rows is None:
-            self._rows = {row: i for i, row in enumerate(map(tuple, self.grid.tolist()))}
-        return self._rows
+    def _exact_rows(self, points: np.ndarray) -> np.ndarray:
+        """Sample index of the grid row equal to each of the (P, m) points, or
+        -1: in one stable lexsort of the rows, then the points, a point's
+        match is the nearest row at or before it, if it has one."""
+        both = np.concatenate([self.grid, points])
+        order = np.lexsort(both.T[::-1])
+        nearest = np.empty_like(order)
+        at = np.arange(len(order))
+        nearest[order] = order[np.maximum.accumulate(np.where(order < self.npoints, at, 0))]
+        rows = nearest[self.npoints:]
+        return np.where((rows < self.npoints) & np.all(both[rows] == points, axis=1), rows, -1)
 
     def index_of(self, point) -> int | None:
         """Index of the sample matching ``point``, or None."""
@@ -272,8 +279,7 @@ class CurveSamples:
         head = [f"# orientation={self.orientation}"]
         head += [f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)]
         head.append(",".join([f"q_{k}" for k in range(self.ndim)] + ["value"]))
-        rows = np.column_stack([self.grid, self.values]).tolist()
-        return "\n".join(head) + "\n" + "".join([",".join(map(repr, row)) + "\n" for row in rows])
+        return "\n".join(head + float_lines(np.column_stack([self.grid, self.values]))) + "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "CurveSamples":
@@ -502,8 +508,7 @@ def tangent_set(f: CurveSamples, q, tol: float | None = None) -> TangentSet:
         raise UsageError("tangent_set expects concave-oriented samples")
     points, single = as_stack(q, f.ndim)
 
-    rows = f._row_index()
-    at = np.array([rows.get(p, -1) for p in map(tuple, points.tolist())])
+    at = f._exact_rows(points)
     for p in np.flatnonzero(at < 0):
         i = f.index_of(points[p])
         at[p] = -1 if i is None else i
@@ -596,6 +601,14 @@ def biconjugate(f: CurveSamples) -> CurveSamples:
     dual = np.stack([m.ravel() for m in mesh], axis=-1)
 
     # f* on the dual grid (convex there), then back onto the primal grid
-    fstar = np.array([np.max(f.values - f.grid @ th) for th in dual])
-    hull = np.array([np.min(fstar + dual @ qrow) for qrow in f.grid])
+    fstar = _blocked_extremes(np.max, np.subtract, f.values, f.grid, dual)
+    hull = _blocked_extremes(np.min, np.add, fstar, dual, f.grid)
     return CurveSamples(f.grid, hull, CONCAVE, f.metadata)
+
+
+def _blocked_extremes(extreme, op, base, table, points):
+    """extreme(op(base, table @ p)) per row p of ``points``, over (32, len(table))
+    blocks whose stacked mat-vecs give each row the bits of ``table @ p``."""
+    return np.concatenate([
+        extreme(op(base, np.matmul(table[None], points[s:s + 32, :, None])[..., 0]), axis=1)
+        for s in range(0, len(points), 32)])

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MAX_RANGE_POINTS
 from .convex import as_components
 from .errors import NumericRangeError, QuadratureError, ResourceError, UsageError
 from .lattice import ObservableFamily, _frozen, _locked_memo, lift_site_operator
@@ -164,11 +165,16 @@ class GaussianTestFunction:
     def values(self, ts: np.ndarray, imag_shift: float = 0.0) -> np.ndarray:
         """f(t + i*imag_shift) on an array of real times."""
         z = np.asarray(ts, dtype=float) + 1j * imag_shift
-        return np.exp(-(z * z) / (2.0 * self.sigma_w**2))
+        return np.exp(-(z * z) / (2.0 * self._variance()))
 
     def support_radius(self) -> float:
         """|f(t)| and |f(t - i)| both fall below _SUPPORT_EPS outside [-r, r]."""
-        return math.sqrt(1.0 + 2.0 * self.sigma_w**2 * math.log(1.0 / _SUPPORT_EPS))
+        return math.sqrt(1.0 + 2.0 * self._variance() * math.log(1.0 / _SUPPORT_EPS))
+
+    def _variance(self) -> float:
+        """sigma_w**2 by libm's pow, whose bits set the quadrature grid (it is
+        not always sigma_w * sigma_w), or inf where the power would overflow."""
+        return self.sigma_w**2 if self.sigma_w < 1e154 else math.inf
 
 
 def _rotate(op: np.ndarray, vec: np.ndarray | None) -> np.ndarray:
@@ -366,21 +372,26 @@ def kms_smeared_residual(family: ObservableFamily, theta, a: TestOperator, b: Te
     1e-6 * max|A| * max|B| (entrywise, see TestOperator.max_norm) raises
     QuadratureError; the half-step value is returned otherwise. A given
     t_range or step must be positive and finite (an empty time grid would
-    read as a perfect pass), else UsageError.
+    read as a perfect pass), else UsageError; so is a half-step grid of over
+    MAX_RANGE_POINTS points (4 t_range / step), before any table is built.
     """
     for name, value in (("t_range", t_range), ("step", step)):
         if value is not None and not (value > 0 and math.isfinite(value)):
             raise UsageError(f"{name} must be positive and finite, got {value}")
     _check_dims(family, a, b)
-    lam, log_z, cross, delta = _residual_tables(family, theta, a, b)
-    w_lhs = (np.exp(-lam[:, None] - log_z) * cross).ravel()
-    w_rhs = (np.exp(-lam[None, :] - log_z) * cross).ravel()
-    freqs = delta.ravel()
-
     if t_range is None:
         t_range = f.support_radius()
     if step is None:
         step = default_quadrature_step(family, theta, f)
+    points = 4.0 * t_range / step
+    if not points <= MAX_RANGE_POINTS:
+        raise UsageError(f"the smeared quadrature over [-{t_range!r}, {t_range!r}] at half "
+                         f"step {step / 2.0!r} needs {points:.3g} points, over {MAX_RANGE_POINTS}")
+
+    lam, log_z, cross, delta = _residual_tables(family, theta, a, b)
+    w_lhs = (np.exp(-lam[:, None] - log_z) * cross).ravel()
+    w_rhs = (np.exp(-lam[None, :] - log_z) * cross).ravel()
+    freqs = delta.ravel()
 
     lhs, rhs = _smeared_sides(f, w_lhs, w_rhs, freqs, t_range, step)
     coarse = abs(lhs - rhs)
