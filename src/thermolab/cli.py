@@ -36,7 +36,9 @@ from .convex import CurveSamples, biconjugate, conjugate, float_lines, tangent_s
 from .errors import ConfigError, ThermolabError, UsageError
 from .gibbs import pressure_limit, release_families
 from .kms import (
+    MAX_QUADRATURE_STEP,
     GaussianTestFunction,
+    check_quadrature_length,
     default_probes,
     default_quadrature_step,
     kms_residual,
@@ -241,18 +243,27 @@ def _run_kms_verify(cfg: Config, writer: ArtifactWriter, threads: int):
     sigma_w = cfg.get_float("sigma_w", 2.0)
     smeared_per_theta = cfg.get_int("smeared_probes", 1)
     cfg.finalize()
+    smeared = sigma_w > 0 and smeared_per_theta > 0
+    if smeared:
+        f = GaussianTestFunction(sigma_w)
+        # no default step exceeds the cap, so a grid too long at the cap is
+        # too long at every theta: refused before any probe is built
+        check_quadrature_length(f.support_radius(), MAX_QUADRATURE_STEP)
 
     family = build_model(spec, spec.region(n))
     probes = default_probes(family, seed, times)
     family.level_view()  # built here, so the theta threads share one eigensolve
     theta_cols = [f"theta_{k}" for k in range(spec.n_observables)]
+    times_of = {}  # each distinct probe pair's times, in probe order
+    for a, b, t in probes:
+        times_of.setdefault((a, b), []).append(t)
 
     def residual_rows(th):
-        rows = []
-        for a, b, t in probes:
-            res = kms_residual(family, th, a, b, t)
-            rows.append((spec.kind, n) + tuple(th) + (a.label, b.label, t, res))
-        return rows
+        # one stacked call per probe pair; rows keep the probes' order
+        res = {pair: iter(kms_residual(family, th, *pair, ts).tolist())
+               for pair, ts in times_of.items()}
+        return [(spec.kind, n) + tuple(th) + (a.label, b.label, t, next(res[a, b]))
+                for a, b, t in probes]
 
     # each distinct probe pair is folded once and shared by every theta and t
     # (and by the smeared rows); the run drops its folds when it ends
@@ -263,8 +274,7 @@ def _run_kms_verify(cfg: Config, writer: ArtifactWriter, threads: int):
                          [_line(row) for row in rows])
 
         smeared_rows = []
-        if sigma_w > 0 and smeared_per_theta > 0:
-            f = GaussianTestFunction(sigma_w)
+        if smeared:
             for th in thetas:
                 step = default_quadrature_step(family, th, f)
                 for a, b, _ in probes[:smeared_per_theta]:

@@ -33,8 +33,11 @@ and their dense matrices are built only when read. On a diagonal family
 (product basis) a fold with a monomial operand has one possibly nonzero
 product per row, so it costs O(dim) instead of O(dim^2), with the dense
 fold's bits; a dense family rotates both probes' matrices into its
-eigenbasis first. The smeared sides take one complex exp per distinct Bohr
-frequency and time, not per level pair.
+eigenbasis first. Bohr frequencies come in exact pairs, delta_ml =
+-delta_lm, so the smeared sides take one complex exp per distinct |omega|
+and time, not per level pair, and conjugate it for the negative ones. A
+pointwise call takes a stack of times and builds its level and weight
+tables once for all of them.
 
 Test functions are Gaussians: entire, rapidly decaying, and with f(t-i)
 available in closed form along the shifted line.
@@ -66,6 +69,8 @@ FOLD_MEMO_SIZE = 8
 _FOLD_ROWS = 64
 # A Gaussian test function is cut off where |f(t)| and |f(t - i)| fall below this.
 _SUPPORT_EPS = 1e-14
+# The default trapezoid step never exceeds this.
+MAX_QUADRATURE_STEP = 0.1
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -145,9 +150,16 @@ def site_pauli(which: str, site: int, n_sites: int) -> TestOperator:
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, label: str = "random") -> TestOperator:
-    """Random hermitian probe scaled to spectral norm 1."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = (g + g.conj().T) / 2.0
+    """Random hermitian probe scaled to spectral norm 1: (g + g^H) / 2 for
+    g = a + ib (a drawn first), built in place, as a + a^T and b - b^T."""
+    h = np.empty((dim, dim), dtype=complex)
+    a = rng.standard_normal((dim, dim))
+    np.add(a, a.T, out=h.real)
+    del a
+    b = rng.standard_normal((dim, dim))
+    np.subtract(b, b.T, out=h.imag)
+    del b
+    h /= 2.0
     h *= 1.0 / max(np.max(np.abs(np.linalg.eigvalsh(h))), 1e-30)
     return TestOperator(h, label)
 
@@ -303,7 +315,7 @@ def _residual_tables(family: ObservableFamily, theta, a: TestOperator, b: TestOp
 
 
 def kms_residual(family: ObservableFamily, theta, a: TestOperator, b: TestOperator,
-                 t: float) -> float:
+                 t) -> float | np.ndarray:
     """Pointwise residual |omega(alpha_t(A) B) - omega(B alpha_{t+i}(A))|.
 
     The complex-time side is evaluated as exp((it-1) theta.Q) A
@@ -311,20 +323,37 @@ def kms_residual(family: ObservableFamily, theta, a: TestOperator, b: TestOperat
     exponentiation, so control norms up to ~700 stay in range. Exact
     arithmetic gives zero by trace cyclicity; the float result is pure
     roundoff.
+
+    A time gives a float; a 1-D sequence of times gives an array, each entry
+    with the bits of its single-time call. The level and weight tables are
+    built once per call, and one L x L phase table serves every time.
     """
-    if not math.isfinite(t):
-        raise UsageError(f"time {t} is not finite")
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise UsageError(f"times must be a number or a 1-D sequence, not {times.shape}")
+    bad = ~np.isfinite(times)
+    if bad.any():
+        raise UsageError(f"time {times.ravel()[np.argmax(bad)]} is not finite")
     _check_dims(family, a, b)
     lam, log_z, cross, delta = _residual_tables(family, theta, a, b)
-    phase = np.exp(1j * delta * t)
     # omega(alpha_t(A) B): weight e^{-lam_l} / Z on the l index
-    lhs = np.sum(np.exp(-lam[:, None] - log_z) * phase * cross)
+    w_lhs = np.exp(-lam[:, None] - log_z)
     # omega(B alpha_{t+i}(A)): weight e^{-lam_m} / Z and the analytic
     # continuation factor e^{-(lam_l - lam_m)} from the complex time
-    rhs = np.sum(np.exp(-lam[None, :] - delta - log_z) * phase * cross)
-    if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
-        raise NumericRangeError("guarded exponential overflowed in kms_residual")
-    return abs(lhs - rhs)
+    w_rhs = np.exp(-lam[None, :] - delta - log_z)
+    phase = np.empty(delta.shape, dtype=complex)
+    out = np.empty(times.size)
+    for k, tk in enumerate(times.ravel().tolist()):
+        # the bits of np.exp(1j * delta * t), with no new table per time
+        np.multiply(1j, delta, out=phase)
+        phase *= tk
+        np.exp(phase, out=phase)
+        lhs = np.sum(w_lhs * phase * cross)
+        rhs = np.sum(w_rhs * phase * cross)
+        if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
+            raise NumericRangeError("guarded exponential overflowed in kms_residual")
+        out[k] = abs(lhs - rhs)
+    return out if times.ndim else out[0]
 
 
 def default_quadrature_step(family: ObservableFamily, theta,
@@ -332,7 +361,16 @@ def default_quadrature_step(family: ObservableFamily, theta,
     """Trapezoid step resolving the fastest Bohr frequency of theta.Q."""
     lam = family.level_energies(theta)
     spread = float(lam.max() - lam.min())
-    return min(0.1, math.pi / (2.0 * spread + 12.0 / f.sigma_w + 2.0))
+    return min(MAX_QUADRATURE_STEP, math.pi / (2.0 * spread + 12.0 / f.sigma_w + 2.0))
+
+
+def check_quadrature_length(t_range: float, step: float) -> None:
+    """UsageError if the half-step grid over [-t_range, t_range] has over
+    MAX_RANGE_POINTS points (4 t_range / step)."""
+    points = 4.0 * t_range / step
+    if not points <= MAX_RANGE_POINTS:
+        raise UsageError(f"the smeared quadrature over [-{t_range!r}, {t_range!r}] at half "
+                         f"step {step / 2.0!r} needs {points:.3g} points, over {MAX_RANGE_POINTS}")
 
 
 def _smeared_sides(f: GaussianTestFunction, w_lhs: np.ndarray, w_rhs: np.ndarray,
@@ -341,18 +379,23 @@ def _smeared_sides(f: GaussianTestFunction, w_lhs: np.ndarray, w_rhs: np.ndarray
     over [-t_range, t_range], with LHS(t) = sum w_lhs e^{i freqs t} and
     RHS(t) = sum w_rhs e^{i freqs t} over the level pairs.
 
-    Level pairs share Bohr frequencies (about 80 distinct of 121 pairs on
-    the 6-site Ising ring), so each block of times takes one complex exp per
-    distinct frequency and gathers the (times, pairs) phase table from
-    them: the same values as a full table, gathered C-ordered so that its
-    products with the weights sum in the full table's order."""
+    Level pairs share Bohr frequencies, and a pair's reverse has the
+    negated one (39 distinct |omega| of 121 pairs on the 6-site Ising ring
+    at h = 0, theta = (1, 0.2)), so each block of times takes one complex exp per
+    distinct |omega| and gathers the (times, pairs) phase table from them
+    and their conjugates: t (-omega) is -(t omega) exactly and libm's
+    complex exp is conjugate-symmetric, so these are the full table's values
+    (bar the sign of a zero imaginary part at t = 0), gathered C-ordered so
+    that its products with the weights sum in the full table's order."""
     ts = np.arange(-t_range, t_range + h / 2.0, h)
-    uniq, inverse = np.unique(freqs, return_inverse=True)
+    mags, inverse = np.unique(np.abs(freqs), return_inverse=True)
+    columns = np.where(freqs < 0, inverse + len(mags), inverse)
     lhs_t = np.empty(len(ts), dtype=complex)
     rhs_t = np.empty(len(ts), dtype=complex)
     for start in range(0, len(ts), 128):  # bound the phase-table memory
         block = ts[start : start + 128]
-        phases = np.exp(1j * np.outer(block, uniq)).take(inverse, axis=1)
+        half = np.exp(1j * np.outer(block, mags))
+        phases = np.concatenate((half, half.conj()), axis=1).take(columns, axis=1)
         lhs_t[start : start + 128] = phases @ w_lhs
         rhs_t[start : start + 128] = phases @ w_rhs
     lhs_int = np.trapezoid(f.values(ts) * lhs_t, dx=h)
@@ -373,7 +416,8 @@ def kms_smeared_residual(family: ObservableFamily, theta, a: TestOperator, b: Te
     QuadratureError; the half-step value is returned otherwise. A given
     t_range or step must be positive and finite (an empty time grid would
     read as a perfect pass), else UsageError; so is a half-step grid of over
-    MAX_RANGE_POINTS points (4 t_range / step), before any table is built.
+    MAX_RANGE_POINTS points (:func:`check_quadrature_length`), before any
+    table is built.
     """
     for name, value in (("t_range", t_range), ("step", step)):
         if value is not None and not (value > 0 and math.isfinite(value)):
@@ -383,10 +427,7 @@ def kms_smeared_residual(family: ObservableFamily, theta, a: TestOperator, b: Te
         t_range = f.support_radius()
     if step is None:
         step = default_quadrature_step(family, theta, f)
-    points = 4.0 * t_range / step
-    if not points <= MAX_RANGE_POINTS:
-        raise UsageError(f"the smeared quadrature over [-{t_range!r}, {t_range!r}] at half "
-                         f"step {step / 2.0!r} needs {points:.3g} points, over {MAX_RANGE_POINTS}")
+    check_quadrature_length(t_range, step)
 
     lam, log_z, cross, delta = _residual_tables(family, theta, a, b)
     w_lhs = (np.exp(-lam[:, None] - log_z) * cross).ravel()
