@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import os
 import sys
 import time
@@ -36,6 +37,7 @@ from .convex import CurveSamples, biconjugate, conjugate, float_lines, tangent_s
 from .errors import ConfigError, ThermolabError, UsageError
 from .gibbs import pressure_limit, release_families
 from .kms import (
+    DEFAULT_PROBE_PAIRS,
     MAX_QUADRATURE_STEP,
     GaussianTestFunction,
     check_quadrature_length,
@@ -190,16 +192,11 @@ def _run_legendre(cfg: Config, writer: ArtifactWriter, threads: int):
     thetas = _theta_grid(cfg, len(constraints[0]))
     cfg.finalize()
     curve = entropy_curve(family, constraints)
-
-    def one(th):
-        grid_value = conjugate(curve, th)
-        scan_value = (
-            mean_field_pressure(family, th) if curve.ndim == family.n_components
-            else float("nan")
-        )
-        return grid_value, scan_value
-
-    results = _pool_map(one, thetas, threads)
+    # both are GIL-bound (microseconds of numpy, a pure-Python bisection), so
+    # threads could not overlap them
+    scan = curve.ndim == family.n_components
+    results = [(conjugate(curve, th), mean_field_pressure(family, th) if scan else math.nan)
+               for th in thetas]
     columns = [f"theta_{k}" for k in range(curve.ndim)] + ["value", "scan_value"]
     writer.write_csv("pressure_curve.csv", columns, float_lines(np.hstack([thetas, results])))
 
@@ -241,32 +238,33 @@ def _run_kms_verify(cfg: Config, writer: ArtifactWriter, threads: int):
     times = cfg.get_floats("times", [0.0, 0.7, 2.3])
     seed = int(writer.seed)
     sigma_w = cfg.get_float("sigma_w", 2.0)
-    smeared_per_theta = cfg.get_int("smeared_probes", 1)
+    smeared_pairs = cfg.get_int("smeared_probes", 1)
     cfg.finalize()
-    smeared = sigma_w > 0 and smeared_per_theta > 0
-    if smeared:
+    if not 0.0 <= sigma_w < math.inf:  # 0 is the one way to write no smeared rows
+        raise cfg.error(f"expected a finite width >= 0, got {sigma_w!r}", "sigma_w")
+    if not 1 <= smeared_pairs <= DEFAULT_PROBE_PAIRS:
+        raise cfg.error(f"expected 1 to {DEFAULT_PROBE_PAIRS} pairs, got {smeared_pairs}",
+                        "smeared_probes")
+    if sigma_w > 0:
         f = GaussianTestFunction(sigma_w)
         # no default step exceeds the cap, so a grid too long at the cap is
         # too long at every theta: refused before any probe is built
         check_quadrature_length(f.support_radius(), MAX_QUADRATURE_STEP)
 
     family = build_model(spec, spec.region(n))
-    probes = default_probes(family, seed, times)
+    # the distinct (A, B) pairs, in probe order; every pair comes at every time
+    pairs = list(dict.fromkeys((a, b) for a, b, _ in default_probes(family, seed, times)))
     family.level_view()  # built here, so the theta threads share one eigensolve
     theta_cols = [f"theta_{k}" for k in range(spec.n_observables)]
-    times_of = {}  # each distinct probe pair's times, in probe order
-    for a, b, t in probes:
-        times_of.setdefault((a, b), []).append(t)
 
     def residual_rows(th):
-        # one stacked call per probe pair; rows keep the probes' order
-        res = {pair: iter(kms_residual(family, th, *pair, ts).tolist())
-               for pair, ts in times_of.items()}
-        return [(spec.kind, n) + tuple(th) + (a.label, b.label, t, next(res[a, b]))
-                for a, b, t in probes]
+        # one stacked call per pair; rows are time-major, as default_probes' are
+        res = [kms_residual(family, th, a, b, times).tolist() for a, b in pairs]
+        return [(spec.kind, n) + tuple(th) + (a.label, b.label, t, r[k])
+                for k, t in enumerate(times) for (a, b), r in zip(pairs, res)]
 
-    # each distinct probe pair is folded once and shared by every theta and t
-    # (and by the smeared rows); the run drops its folds when it ends
+    # each probe pair is folded once and shared by every theta and t (and by
+    # the smeared rows); the run drops its folds when it ends
     try:
         rows = [row for batch in _pool_map(residual_rows, thetas, threads) for row in batch]
         writer.write_csv("residuals.csv",
@@ -274,26 +272,19 @@ def _run_kms_verify(cfg: Config, writer: ArtifactWriter, threads: int):
                          [_line(row) for row in rows])
 
         smeared_rows = []
-        if smeared:
+        if sigma_w > 0:
             for th in thetas:
                 step = default_quadrature_step(family, th, f)
-                for a, b, _ in probes[:smeared_per_theta]:
+                for a, b in pairs[:smeared_pairs]:
                     res = kms_smeared_residual(family, th, a, b, f, step=step)
-                    smeared_rows.append(
-                        (spec.kind, n) + tuple(th)
-                        + (a.label, b.label, float("nan"), res, sigma_w, step)
-                    )
-            writer.write_csv(
-                "smeared.csv",
-                ["model", "N"] + theta_cols
-                + ["A", "B", "t", "residual", "sigma_w", "quadrature_step"],
-                [_line(row) for row in smeared_rows],
-            )
+                    smeared_rows.append((spec.kind, n) + tuple(th)
+                                        + (a.label, b.label, math.nan, res, sigma_w, step))
+            writer.write_csv("smeared.csv", ["model", "N"] + theta_cols
+                             + ["A", "B", "t", "residual", "sigma_w", "quadrature_step"],
+                             [_line(row) for row in smeared_rows])
     finally:
         release_folds()
-    worst = max(
-        [r[-1] for r in rows] + [r[-3] for r in smeared_rows], default=0.0
-    )
+    worst = max([r[-1] for r in rows] + [r[-3] for r in smeared_rows], default=0.0)
     return {"max_residual": worst}
 
 
@@ -354,9 +345,8 @@ def _run_diff_test(cfg: Config, writer: ArtifactWriter, threads: int):
     )
 
     if theta1_values:
-        def scan_phi(t1):
-            return mean_field_pressure(family, [theta0] + [0.0] * (family.n_components - 2) + [t1])
-        phis = _pool_map(scan_phi, theta1_values, threads)
+        head = [theta0] + [0.0] * (family.n_components - 2)
+        phis = [mean_field_pressure(family, head + [t1]) for t1 in theta1_values]
         writer.write_csv("pressure_scan.csv", ["theta_1", "value"],
                          float_lines(np.column_stack([theta1_values, phis])))
 
@@ -439,7 +429,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="key=value experiment config")
     parser.add_argument("--out", default="thermolab_out", help="artifact directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="theta threads for pressure and kms-verify (the others run serially)")
     args = parser.parse_args(argv)
 
     try:

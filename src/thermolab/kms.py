@@ -9,13 +9,13 @@ state for it, which shows up numerically as the vanishing of
                   - int f(t-i) omega(B alpha_t(A)) dt |
 
 with omega the psi_theta expectation. Both sides of each identity are
-evaluated through their own exponent assembly. On a dense family (the
-transverse chain) the pointwise residual then measures the actual
-cancellation. On the built-in diagonal families it does not: there
--lam_m - (lam_l - lam_m) rounds back to -lam_l, so both pointwise sums have
-the same bits and the residual reads exactly 0 for every probe pair,
-right or wrong. There the smeared residual and the dense family are the
-real checks.
+evaluated through their own exponent assembly, but from the same levels and
+the same fold, so the pointwise residual is the roundoff of an identity that
+holds by construction. On the built-in diagonal families that roundoff is
+nil: -lam_m - (lam_l - lam_m) rounds back to -lam_l, so both pointwise sums
+have the same bits and the residual reads exactly 0 for every probe pair,
+right or wrong. On the dense transverse chain most rows read 0.0 as well,
+the rest about 1e-17. The smeared residual is the real check.
 
 Spectrally, each two-point function only needs the weight that A and B
 carry between each pair of joint levels (l, m), at the Bohr frequency
@@ -489,6 +489,9 @@ def kms_theta_discrimination(family: ObservableFamily, theta_1, theta_2,
     max_score = max(s.score for s in scores)
     return DiscriminationReport(tuple(map(float, th1)), tuple(map(float, th2)),
                                 tuple(scores), max_score, max_score > 1e-10)
+
+
+DEFAULT_PROBE_PAIRS = 3  # the distinct (A, B) pairs default_probes gives at each time
 
 
 def default_probes(family: ObservableFamily, seed: int, times) -> list:
