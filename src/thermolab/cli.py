@@ -240,7 +240,7 @@ def _run_kms_verify(cfg: Config, writer: ArtifactWriter, threads: int):
     sigma_w = cfg.get_float("sigma_w", 2.0)
     smeared_pairs = cfg.get_int("smeared_probes", 1)
     cfg.finalize()
-    if not 0.0 <= sigma_w < math.inf:  # 0 is the one way to write no smeared rows
+    if sigma_w < 0.0:  # 0 is the one way to write no smeared rows
         raise cfg.error(f"expected a finite width >= 0, got {sigma_w!r}", "sigma_w")
     if not 1 <= smeared_pairs <= DEFAULT_PROBE_PAIRS:
         raise cfg.error(f"expected 1 to {DEFAULT_PROBE_PAIRS} pairs, got {smeared_pairs}",
@@ -254,36 +254,31 @@ def _run_kms_verify(cfg: Config, writer: ArtifactWriter, threads: int):
     family = build_model(spec, spec.region(n))
     # the distinct (A, B) pairs, in probe order; every pair comes at every time
     pairs = list(dict.fromkeys((a, b) for a, b, _ in default_probes(family, seed, times)))
-    family.level_view()  # built here, so the theta threads share one eigensolve
-    theta_cols = [f"theta_{k}" for k in range(spec.n_observables)]
+    cols = ["model", "N"] + [f"theta_{k}" for k in range(spec.n_observables)]
+    cols += ["A", "B", "t", "residual"]
 
-    def residual_rows(th):
-        # one stacked call per pair; rows are time-major, as default_probes' are
-        res = [kms_residual(family, th, a, b, times).tolist() for a, b in pairs]
-        return [(spec.kind, n) + tuple(th) + (a.label, b.label, t, r[k])
-                for k, t in enumerate(times) for (a, b), r in zip(pairs, res)]
-
-    # each probe pair is folded once and shared by every theta and t (and by
-    # the smeared rows); the run drops its folds when it ends
+    # one serial pass over theta (a thread pool slowed every shipped kms
+    # config). Each probe pair is folded once and shared by every theta and t,
+    # pointwise and smeared; the run drops its folds when it ends
+    rows, smeared_rows = [], []
     try:
-        rows = [row for batch in _pool_map(residual_rows, thetas, threads) for row in batch]
-        writer.write_csv("residuals.csv",
-                         ["model", "N"] + theta_cols + ["A", "B", "t", "residual"],
-                         [_line(row) for row in rows])
-
-        smeared_rows = []
-        if sigma_w > 0:
-            for th in thetas:
+        for th in thetas:
+            head = (spec.kind, n) + tuple(th)
+            # one stacked call per pair; rows are time-major, as default_probes' are
+            res = [kms_residual(family, th, a, b, times).tolist() for a, b in pairs]
+            rows += [head + (a.label, b.label, t, r[k])
+                     for k, t in enumerate(times) for (a, b), r in zip(pairs, res)]
+            if sigma_w > 0:
                 step = default_quadrature_step(family, th, f)
-                for a, b in pairs[:smeared_pairs]:
-                    res = kms_smeared_residual(family, th, a, b, f, step=step)
-                    smeared_rows.append((spec.kind, n) + tuple(th)
-                                        + (a.label, b.label, math.nan, res, sigma_w, step))
-            writer.write_csv("smeared.csv", ["model", "N"] + theta_cols
-                             + ["A", "B", "t", "residual", "sigma_w", "quadrature_step"],
-                             [_line(row) for row in smeared_rows])
+                smeared_rows += [head + (a.label, b.label, math.nan,
+                                         kms_smeared_residual(family, th, a, b, f, step=step),
+                                         sigma_w, step) for a, b in pairs[:smeared_pairs]]
     finally:
         release_folds()
+    writer.write_csv("residuals.csv", cols, [_line(row) for row in rows])
+    if sigma_w > 0:
+        writer.write_csv("smeared.csv", cols + ["sigma_w", "quadrature_step"],
+                         [_line(row) for row in smeared_rows])
     worst = max([r[-1] for r in rows] + [r[-3] for r in smeared_rows], default=0.0)
     return {"max_residual": worst}
 
@@ -430,7 +425,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="thermolab_out", help="artifact directory")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=1,
-                        help="theta threads for pressure and kms-verify (the others run serially)")
+                        help="theta threads for pressure (the others run serially)")
     args = parser.parse_args(argv)
 
     try:

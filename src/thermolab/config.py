@@ -2,7 +2,8 @@
 
 A config is one ``key = value`` pair per line; '#' starts a comment and
 blank lines are skipped. Values are read through typed getters that name
-the file, key and line of anything they cannot read, and every key the run
+the file, key and line of anything they cannot read (a number that is not
+finite included, refused where it is read), and every key the run
 does not read is refused by :meth:`Config.finalize`, which each runner calls
 before it computes anything.
 """
@@ -75,7 +76,9 @@ class Config:
             number = float(value)
         except ValueError:
             raise self.error(f"cannot parse {value!r} as a number", key) from None
-        if positive and not 0.0 < number < math.inf:
+        if not math.isfinite(number):
+            raise self.error(f"expected a finite number, got {value!r}", key)
+        if positive and number <= 0.0:
             raise self.error(f"expected a positive finite number, got {value!r}", key)
         return number
 
@@ -93,15 +96,16 @@ class Config:
         if value is None:
             return default
         try:
-            return _parse_number_list(value)
+            numbers = _parse_number_list(value)
         except ValueError as exc:
             raise self.error(str(exc), key) from None
+        if not all(map(math.isfinite, numbers)):
+            raise self.error(f"expected finite numbers, got {value!r}", key)
+        return numbers
 
     def get_ints(self, key: str):
         """A required list of integers (see ``_parse_number_list``)."""
         floats = self.get_floats(key, required=True)
-        if not all(math.isfinite(x) for x in floats):
-            raise self.error("expected finite integers", key)
         ints = [int(round(x)) for x in floats]
         if any(abs(i - x) > 1e-9 for i, x in zip(ints, floats)):
             raise self.error("expected integers", key)

@@ -35,7 +35,8 @@ import numpy as np
 
 from .convex import as_components, as_stack
 from .errors import NumericRangeError, UsageError
-from .lattice import DIMENSION_CAP, ModelSpec, ObservableFamily, _locked_memo, build_model
+from .lattice import (DIMENSION_CAP, ModelSpec, ObservableFamily, _locked_memo, build_model,
+                      check_size)
 
 # Eigenvalues below this contribute zero to x ln x sums (continuity at 0).
 EIG_FLOOR = 1e-15
@@ -330,6 +331,7 @@ def pressure_limit(spec: ModelSpec, theta, sizes, fit: str = "affine",
     sizes = [int(n) for n in sizes]
     if len(sizes) < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise UsageError("sizes must be strictly increasing with at least 3 entries")
+    check_size(sizes[-1], cap)  # before any size is built
     if fit not in ("affine", "geometric"):
         raise UsageError(f"unknown fit mode {fit!r}")
     narr = np.array(sizes, dtype=float)

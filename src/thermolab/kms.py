@@ -71,6 +71,9 @@ _FOLD_ROWS = 64
 _SUPPORT_EPS = 1e-14
 # The default trapezoid step never exceeds this.
 MAX_QUADRATURE_STEP = 0.1
+# The smeared sides take their (times, level pairs) phase table in blocks of
+# at most 128 times and this many entries, a power of two of times (at least 2).
+_PHASE_ENTRIES = 2**22
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -251,23 +254,20 @@ def _folded_cross(atil, btil, index: np.ndarray, n_levels: int) -> np.ndarray:
     leave every partial sum's bits alone.
     """
     size = n_levels * n_levels
+    rows = [slice(start, start + _FOLD_ROWS) for start in range(0, len(index), _FOLD_ROWS)]
     if isinstance(atil, TestOperator) or isinstance(btil, TestOperator):
         k, products = _monomial_products(atil, btil, len(index))
         pairs = index * n_levels + index[k]
-        strips = ((pairs[r], products[r]) for r in _row_strips(len(index)))
+        strips = ((pairs[r], products[r]) for r in rows)
     else:
         strips = ((np.add.outer(index[r] * n_levels, index).ravel(),
-                   (atil[r] * btil[:, r].T).ravel()) for r in _row_strips(len(index)))
+                   (atil[r] * btil[:, r].T).ravel()) for r in rows)
     real = np.zeros(size)
     imag = np.zeros(size)
     for pair, strip in strips:
         real += np.bincount(pair, weights=strip.real, minlength=size)
         imag += np.bincount(pair, weights=strip.imag, minlength=size)
     return (real + 1j * imag).reshape(n_levels, n_levels)
-
-
-def _row_strips(dim: int):
-    return (slice(start, start + _FOLD_ROWS) for start in range(0, dim, _FOLD_ROWS))
 
 
 def _fold_operand(op: TestOperator, basis: np.ndarray | None):
@@ -392,12 +392,16 @@ def _smeared_sides(f: GaussianTestFunction, w_lhs: np.ndarray, w_rhs: np.ndarray
     columns = np.where(freqs < 0, inverse + len(mags), inverse)
     lhs_t = np.empty(len(ts), dtype=complex)
     rhs_t = np.empty(len(ts), dtype=complex)
-    for start in range(0, len(ts), 128):  # bound the phase-table memory
-        block = ts[start : start + 128]
-        half = np.exp(1j * np.outer(block, mags))
+    rows = max([2] + [r for r in (128, 64, 32, 16, 8, 4) if r * len(freqs) <= _PHASE_ENTRIES])
+    # numpy's (1, n) @ (n,) does not round as a taller block's mat-vec does, so
+    # a lone last time joins the block before it unless 128-time blocks leave
+    # it alone too (rows divides 128, so then it is alone here as well)
+    starts = list(range(0, len(ts) - (len(ts) % 128 != 1), rows)) + [len(ts)]
+    for start, stop in zip(starts, starts[1:]):
+        half = np.exp(1j * np.outer(ts[start:stop], mags))
         phases = np.concatenate((half, half.conj()), axis=1).take(columns, axis=1)
-        lhs_t[start : start + 128] = phases @ w_lhs
-        rhs_t[start : start + 128] = phases @ w_rhs
+        lhs_t[start:stop] = phases @ w_lhs
+        rhs_t[start:stop] = phases @ w_rhs
     lhs_int = np.trapezoid(f.values(ts) * lhs_t, dx=h)
     rhs_int = np.trapezoid(f.values(ts, imag_shift=-1.0) * rhs_t, dx=h)
     return lhs_int, rhs_int

@@ -307,7 +307,9 @@ class ObservableFamily:
 
         Row ``k`` of the first array holds the eigenvalues of (Q_0, Q_1, ...)
         on one joint eigenspace, whose dimension is ``exp`` of entry ``k`` of
-        the second. Taken from :meth:`level_view` when that is built. A
+        the second. Taken from :meth:`level_view` when that is built, so on
+        a transverse chain the levels, and pressures read from them, differ by
+        a few ulp depending on whether the view was built first. A
         built-in diagonal family counts it otherwise (``_counted_levels``:
         O(N^2) classes, no 2^N storage, the grouping's bits), and the built-in
         open transverse chain sums it from its N free-fermion modes
@@ -661,11 +663,15 @@ def build_model(spec: ModelSpec, region: Region, cap: int = DIMENSION_CAP) -> Ob
     if (region.geometry, region.boundary) != (expected.geometry, expected.boundary):
         raise UsageError(f"model {spec.kind} expects geometry {expected.geometry}"
                          f"{'/' + str(expected.boundary) if expected.boundary else ''}")
-    n = region.size
-    dim = 2**n
-    if dim > cap:
-        raise ResourceError(f"dimension 2^{n} = {dim} exceeds cap {cap}")
+    check_size(region.size, cap)
     return ObservableFamily._of_model(spec, region)
+
+
+def check_size(n: int, cap: int = DIMENSION_CAP) -> None:
+    """ResourceError if the 2^n-dimensional space of n sites exceeds cap,
+    told from n alone: 2^n is never formed, so a huge n is refused at once."""
+    if n >= cap.bit_length():
+        raise ResourceError(f"dimension 2^{n} exceeds cap {cap}")
 
 
 def _split_defects(family: ObservableFamily) -> tuple[dict, tuple] | tuple[None, None]:

@@ -2,8 +2,10 @@
 
 legendre and diff-test items hold the GIL (microseconds of numpy, a
 pure-Python bisection), so they run as plain loops whatever ``--threads``
-says. kms-verify solves each distinct default probe pair once per theta, and
-refuses a smeared setting it cannot honour before any probe is built.
+says. kms-verify runs its theta grid in one serial pass too (a thread pool
+slowed every shipped kms config), solves each distinct default probe pair
+once per theta, and refuses a smeared setting it cannot honour before any
+probe is built.
 """
 
 import concurrent.futures
@@ -28,7 +30,8 @@ class TestSerialRunners:
         ("legendre", "tools/ci_configs/legendre_energy_curie_weiss.cfg", "pressure_curve.csv"),
         ("legendre", "tools/ci_configs/legendre_joint_curie_weiss.cfg", "pressure_curve.csv"),
         ("diff-test", "configs/diff_test_curie_weiss.cfg", "pressure_scan.csv"),
-    ], ids=["legendre-energy", "legendre-joint", "diff-test"])
+        ("kms-verify", "tools/ci_configs/kms_ring_all_pairs.cfg", "residuals.csv"),
+    ], ids=["legendre-energy", "legendre-joint", "diff-test", "kms-verify"])
     def test_four_threads_make_no_pool_and_the_one_thread_bodies(self, tmp_path, monkeypatch,
                                                                   subcommand, config, looped):
         run_experiment(subcommand, ROOT / config, tmp_path / "t1", threads=1)
