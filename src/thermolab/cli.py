@@ -33,7 +33,7 @@ from .completeness import (
 )
 # callers import Config and _parse_number_list from here too
 from .config import Config, _decimal_range, _decimals, _parse_number_list  # noqa: F401
-from .convex import CurveSamples, biconjugate, conjugate, float_lines, tangent_set
+from .convex import CurveSamples, biconjugate, conjugate, float_body, tangent_set
 from .errors import ConfigError, ThermolabError, UsageError
 from .gibbs import pressure_limit, release_families
 from .kms import (
@@ -70,9 +70,15 @@ class ArtifactWriter:
         self.records.append({"path": name, "kind": kind, "rows": rows})
 
     def write_csv(self, name: str, columns: list[str], lines: list[str]):
-        """Queue a CSV of body lines (``float_lines`` or ``_line``), one per row."""
-        body = "".join([line + "\n" for line in lines])
-        self._queue(name, "csv", len(lines), self._header() + ",".join(columns) + "\n" + body)
+        """Queue a CSV of ``_line`` body lines, one per row."""
+        self._queue_csv(name, columns, len(lines), "\n".join([*lines, ""]))
+
+    def write_table(self, name: str, columns: list[str], table):
+        """Queue a CSV of an all-float (rows, cols) table, one row per line."""
+        self._queue_csv(name, columns, len(table), float_body(table))
+
+    def _queue_csv(self, name: str, columns: list[str], rows: int, body: str):
+        self._queue(name, "csv", rows, "".join([self._header(), ",".join(columns), "\n", body]))
 
     def write_curve(self, name: str, curve: CurveSamples):
         meta = dict(curve.metadata, seed=self.seed)
@@ -168,37 +174,39 @@ def _run_pressure(cfg: Config, writer: ArtifactWriter, threads: int):
 
 
 def _constraints_from_config(cfg: Config, family: ErgodicFamily, mode: str):
-    """Energy constraints (dicts) from ``e_values``, or the family curve at
-    ``m_values`` as a (P, n) array, as ``constrain`` (default ``mode``) asks."""
+    """(targets, components), as ``constrain`` (default ``mode``) asks: the
+    energy (component 0) at ``e_values`` as a (P, 1) column, or the family
+    curve at ``m_values`` as a (P, n) array; each row is also a constraint."""
     mode = cfg.get_str("constrain", mode, choices=("energy", "joint"))
     if mode == "energy":
-        return [{0: e} for e in cfg.get_floats("e_values", required=True)]
-    return family.densities(cfg.get_floats("m_values", required=True))
+        return np.array(cfg.get_floats("e_values", required=True))[:, None], (0,)
+    return (family.densities(cfg.get_floats("m_values", required=True)),
+            tuple(range(family.n_components)))
 
 
 def _run_entropy_curve(cfg: Config, writer: ArtifactWriter, threads: int):
     family = ErgodicFamily(ModelSpec.from_config(cfg))
-    constraints = _constraints_from_config(cfg, family, "joint")
+    targets, comps = _constraints_from_config(cfg, family, "joint")
     cfg.finalize()
-    curve = entropy_curve(family, constraints)
+    curve = entropy_curve(family, targets, components=comps)
     writer.write_curve("entropy_curve.csv", curve)
     return {}
 
 
 def _run_legendre(cfg: Config, writer: ArtifactWriter, threads: int):
     family = ErgodicFamily(ModelSpec.from_config(cfg))
-    constraints = _constraints_from_config(cfg, family, "joint")
+    targets, comps = _constraints_from_config(cfg, family, "joint")
     # the curve's coordinates are the constrained components
-    thetas = _theta_grid(cfg, len(constraints[0]))
+    thetas = _theta_grid(cfg, len(comps))
     cfg.finalize()
-    curve = entropy_curve(family, constraints)
+    curve = entropy_curve(family, targets, components=comps)
     # both are GIL-bound (microseconds of numpy, a pure-Python bisection), so
     # threads could not overlap them
     scan = curve.ndim == family.n_components
     results = [(conjugate(curve, th), mean_field_pressure(family, th) if scan else math.nan)
                for th in thetas]
     columns = [f"theta_{k}" for k in range(curve.ndim)] + ["value", "scan_value"]
-    writer.write_csv("pressure_curve.csv", columns, float_lines(np.hstack([thetas, results])))
+    writer.write_table("pressure_curve.csv", columns, np.hstack([thetas, results]))
 
     extras = {}
     if curve.ndim == 1 or curve.axes() is not None:
@@ -217,9 +225,9 @@ def _run_legendre(cfg: Config, writer: ArtifactWriter, threads: int):
 def _run_completeness(cfg: Config, writer: ArtifactWriter, threads: int):
     family = ErgodicFamily(ModelSpec.from_config(cfg))
     tol = cfg.get_float("tol", 1e-9, positive=True)
-    constraints = _constraints_from_config(cfg, family, "energy")
+    targets, _ = _constraints_from_config(cfg, family, "energy")
     cfg.finalize()
-    report = completeness_verdict(family, constraints, tol=tol)
+    report = completeness_verdict(family, targets, tol=tol)
     payload = {
         "verdict": report.verdict,
         "witness": report.witness.to_json_dict(),
@@ -320,8 +328,7 @@ def _run_diff_test(cfg: Config, writer: ArtifactWriter, threads: int):
         widths = np.column_stack([ts.point, ts.width, ts.max_width])
     coord_cols = [f"q_{k}" for k in range(curve.ndim)]
     width_cols = [f"width_{k}" for k in range(curve.ndim)]
-    writer.write_csv("tangent_widths.csv", coord_cols + width_cols + ["max_width"],
-                     float_lines(widths))
+    writer.write_table("tangent_widths.csv", coord_cols + width_cols + ["max_width"], widths)
     max_tangent_width = max(widths[:, -1].tolist(), default=0.0)
     # a large width along a density strictly monotone in m means a kink; along
     # one that turns back (q_0 at its vertex) the width is large on a smooth curve
@@ -342,8 +349,8 @@ def _run_diff_test(cfg: Config, writer: ArtifactWriter, threads: int):
     if theta1_values:
         head = [theta0] + [0.0] * (family.n_components - 2)
         phis = [mean_field_pressure(family, head + [t1]) for t1 in theta1_values]
-        writer.write_csv("pressure_scan.csv", ["theta_1", "value"],
-                         float_lines(np.column_stack([theta1_values, phis])))
+        writer.write_table("pressure_scan.csv", ["theta_1", "value"],
+                           np.column_stack([theta1_values, phis]))
 
     return {
         "pressure_kink": {

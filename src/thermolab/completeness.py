@@ -363,20 +363,26 @@ def completeness_verdict(family: ErgodicFamily, constraints, tol: float = 1e-9) 
     return CompletenessReport(records, complete, witness)
 
 
-def entropy_curve(family: ErgodicFamily, grid, tol: float = 1e-9) -> CurveSamples:
+def entropy_curve(family: ErgodicFamily, grid, tol: float = 1e-9,
+                  components=None) -> CurveSamples:
     """Sampled entropy function s over a grid of (partial) density constraints.
 
     The grid is a list of constraints (see ``normalize_constraint``), every
-    entry constraining the same components, or a (P, n) array of joint
-    (all-component) constraints, one point per row, read by
-    ``convex.as_stack``. Infeasible points are skipped with an
+    entry constraining the same components, or a (P, k) array of targets,
+    one point per row, read by ``convex.as_stack``: column j fixes
+    ``components[j]`` (ascending indices or labels; default every
+    component). Infeasible points are skipped with an
     InfeasibleGridPointWarning. One-component grids are sorted by
     coordinate; higher-dimensional grids keep the caller's order (a chain
     of samples along the family's reachable set).
     """
     if isinstance(grid, np.ndarray):
-        targets = as_stack(grid, family.n_components)[0]
         comps = list(range(family.n_components))
+        if components is not None:
+            comps = list(normalize_constraint(family, dict.fromkeys(components, 0.0)))
+            if comps != sorted(comps) or len(comps) != len(components):
+                raise UsageError(f"components must be distinct and ascending, got {components}")
+        targets = as_stack(grid, len(comps))[0]
         normalized = None
     else:
         normalized = [normalize_constraint(family, g) for g in grid]
@@ -392,7 +398,7 @@ def entropy_curve(family: ErgodicFamily, grid, tol: float = 1e-9) -> CurveSample
     values[flat] = family.entropy(0.0)
     feasible = flat | winners.any(axis=1)
     for i in np.flatnonzero(~feasible):
-        cons = dict(enumerate(targets[i].tolist())) if normalized is None else normalized[i]
+        cons = dict(zip(comps, targets[i].tolist())) if normalized is None else normalized[i]
         warnings.warn(f"skipping infeasible grid point {cons}: {_unreachable(family, cons)}",
                       InfeasibleGridPointWarning, stacklevel=2)
     if not feasible.any():

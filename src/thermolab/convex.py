@@ -127,10 +127,28 @@ def as_stack(x, n: int) -> tuple[np.ndarray, bool]:
     return stack, False
 
 
+def float_body(table) -> str:
+    """CSV body of a (rows, cols) float table, each row ending in a newline:
+    the bytes of ``repr(float(v))`` joined by ','. Each distinct float64 bit
+    pattern is rendered once (so -0.0 and 0.0 stay apart, and every NaN
+    reads ``nan``), and the cells and separators are joined once."""
+    table = np.ascontiguousarray(table, dtype=float)
+    if not table.size:
+        return ""
+    rows, cols = table.shape
+    # return_index asks np.unique for the stable int64 argsort that the
+    # lexsorts already run; its quicksort would page in more of numpy's code
+    keys, _, inverse = np.unique(table.view(np.int64), return_index=True, return_inverse=True)
+    texts = np.array(list(map(repr, keys.view(float).tolist())) + [",", "\n"], dtype=object)
+    cells = np.full((rows, 2 * cols), len(keys))  # the ',' after every cell
+    cells[:, 0::2] = inverse.reshape(rows, cols)
+    cells[:, -1] += 1  # and a newline after the last
+    return "".join(texts[cells.ravel()].tolist())
+
+
 def float_lines(table) -> list[str]:
-    """CSV lines of a float table: ``repr`` of ``.tolist()``'s Python floats,
-    the bytes of ``repr(float(v))`` with no Python call per cell."""
-    return [",".join(map(repr, row)) for row in np.asarray(table, dtype=float).tolist()]
+    """CSV lines of a float table: ``float_body`` split into its rows."""
+    return float_body(table).split("\n")[:-1]
 
 
 class CurveSamples:
@@ -279,7 +297,7 @@ class CurveSamples:
         head = [f"# orientation={self.orientation}"]
         head += [f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)]
         head.append(",".join([f"q_{k}" for k in range(self.ndim)] + ["value"]))
-        return "\n".join(head + float_lines(np.column_stack([self.grid, self.values]))) + "\n"
+        return "\n".join(head) + "\n" + float_body(np.column_stack([self.grid, self.values]))
 
     @classmethod
     def from_csv(cls, text: str) -> "CurveSamples":
