@@ -213,11 +213,8 @@ def _run_legendre(cfg: Config, writer: ArtifactWriter, threads: int):
         # chain-of-samples grids (joint curves) have no product structure to
         # conjugate back onto; the round trip is emitted where it is defined
         hull = biconjugate(curve)
-        roundtrip = CurveSamples(
-            curve.grid, hull.values, curve.orientation,
-            dict(curve.metadata, roundtrip="biconjugate"),
-        )
-        writer.write_curve("biconjugate.csv", roundtrip)
+        hull.metadata["roundtrip"] = "biconjugate"
+        writer.write_curve("biconjugate.csv", hull)
         extras["biconjugate_max_defect"] = float(np.max(np.abs(hull.values - curve.values)))
     return extras
 
@@ -302,6 +299,10 @@ def _run_diff_test(cfg: Config, writer: ArtifactWriter, threads: int):
     if theta1_values and family.n_components == 1:
         raise cfg.error(f"model {family.model.kind} has one control component, "
                         "so there is no theta_1 to scan", "theta1_values")
+    # one-sided pressure slopes across the symmetry-breaking control value,
+    # first: a kink_step too small to read a kink is refused before the curve
+    base = [theta0] + [0.0] * (family.n_components - 1)
+    gap = pressure_slope_gap(family, base, component=family.n_components - 1, step=step)
 
     # smoothness of the entropy surface along the family curve; the sweep is
     # padded two steps so every reported point has full two-interval stencils
@@ -337,9 +338,6 @@ def _run_diff_test(cfg: Config, writer: ArtifactWriter, threads: int):
                  if b != 0.0 and abs(b) >= 2.0 * abs(a))
     max_chart_width = max(widths[:, curve.ndim + chart].tolist(), default=0.0)
 
-    # one-sided pressure slopes across the symmetry-breaking control value
-    base = [theta0] + [0.0] * (family.n_components - 1)
-    gap = pressure_slope_gap(family, base, component=family.n_components - 1, step=step)
     writer.write_csv(
         "pressure_kink.csv",
         ["theta_0", "component", "step", "left_slope", "right_slope", "gap"],

@@ -480,12 +480,19 @@ def pressure_slope_gap(family: ErgodicFamily, theta, component: int = 1,
 
     A nonzero gap at theta flags a kink: the two phases on either side carry
     different densities (spontaneous symmetry breaking when the gap is 2 m*).
+    A step below 2**-26 * max(1, |theta[component]|), the square root of the
+    float64 epsilon at that scale, is a UsageError: its quotients would be
+    roundoff, and a step that leaves the pressure unmoved reads as no kink.
     """
     th = as_components(theta, family.n_components)
     if not 0 <= component < family.n_components:
         raise UsageError(f"component {component} out of range")
     if not 0.0 < step < math.inf:
         raise UsageError(f"step must be positive and finite, got {step}")
+    floor = 2.0**-26 * max(1.0, abs(float(th[component])))
+    if step < floor:
+        raise UsageError(f"step {step!r} is below 2**-26 * max(1, |theta_{component}|) "
+                         f"= {floor!r}, too small for a difference quotient")
     center = mean_field_pressure(family, th)
     plus = th.copy()
     plus[component] += step

@@ -194,7 +194,7 @@ class CurveSamples:
         self.grid.setflags(write=False)
         self.values.setflags(write=False)
         self._axes_cache: tuple = ()  # () = not computed, (None,) or (list,)
-        self._lines: dict = {}  # axis k -> (lines, (line, position) of each sample)
+        self._lines: dict = {}  # axis k -> axis_lines(k)
         self._steps: dict = {}  # axis k -> neighbour table, see _neighbours
 
     @property
@@ -223,33 +223,28 @@ class CurveSamples:
             self._axes_cache = (uniques if product else None,)
         return self._axes_cache[0]
 
-    def _axis_table(self, k: int) -> tuple:
-        if k not in self._lines:
-            groups: dict[tuple, list[int]] = {}
-            other = [j for j in range(self.ndim) if j != k]
-            for i, key in enumerate(map(tuple, self.grid[:, other].tolist())):
-                groups.setdefault(key, []).append(i)
-            lines, where = [], [None] * self.npoints
-            for idx in groups.values():
-                idx = np.asarray(idx)
-                line = idx[np.argsort(self.grid[idx, k])]
-                lines.append(line)
-                for pos, i in enumerate(line.tolist()):
-                    where[i] = (line, pos)
-            self._lines[k] = (lines, where)
-        return self._lines[k]
-
     def axis_lines(self, k: int) -> list[np.ndarray]:
         """Sample-index arrays of the grid lines running along axis k.
 
         Each line is sorted by coordinate k; lines come in the order of
-        their first sample. Computed once per axis.
+        their first sample. They are cut from one stable lexsort of the
+        samples by their other coordinates, then by coordinate k, wherever
+        the other coordinates change (as floats: -0.0 and 0.0 share a line).
+        Computed once per axis.
         """
-        return self._axis_table(k)[0]
+        if k not in self._lines:
+            other = self.grid[:, [j for j in range(self.ndim) if j != k]]
+            order = np.lexsort([self.grid[:, k], *other.T[::-1]])
+            keys = other[order]
+            lines = np.split(order, np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1)
+            self._lines[k] = sorted(lines, key=lambda line: line.min())
+        return self._lines[k]
 
     def line_through(self, i: int, k: int) -> tuple[np.ndarray, int]:
         """The axis-k line holding sample i, and i's position on it."""
-        return self._axis_table(k)[1][i]
+        i = range(self.npoints)[i]  # IndexError past either end, as a list's
+        line = next(line for line in self.axis_lines(k) if i in line)
+        return line, int(np.flatnonzero(line == i)[0])
 
     def _neighbours(self, k: int) -> np.ndarray:
         """(npoints, 5) table of the samples 2 and 1 steps before each

@@ -9,13 +9,19 @@ state for it, which shows up numerically as the vanishing of
                   - int f(t-i) omega(B alpha_t(A)) dt |
 
 with omega the psi_theta expectation. Both sides of each identity are
-evaluated through their own exponent assembly, but from the same levels and
-the same fold, so the pointwise residual is the roundoff of an identity that
-holds by construction. On the built-in diagonal families that roundoff is
-nil: -lam_m - (lam_l - lam_m) rounds back to -lam_l, so both pointwise sums
-have the same bits and the residual reads exactly 0 for every probe pair,
-right or wrong. On the dense transverse chain most rows read 0.0 as well,
-the rest about 1e-17. The smeared residual is the real check.
+evaluated through their own exponent assembly, but from the same levels, the
+same fold and the same theta, so both residuals are the roundoff of an
+identity that holds by construction, for a wrong state as for a right one.
+Pointwise, on the built-in diagonal families that roundoff is nil:
+-lam_m - (lam_l - lam_m) rounds back to -lam_l, so the residual reads
+exactly 0 for every probe pair; on the dense transverse chain most rows read
+0.0 as well, the rest about 1e-17. Smeared, the Gaussian's transform
+fhat(delta) = sigma_w sqrt(2 pi) exp(-sigma_w^2 delta^2 / 2) makes the sides
+sum cross e^{-lam_l} fhat(delta) and cross e^{-lam_m - delta} fhat(delta),
+equal term by term, so a row is trapezoid roundoff, 1e-17 to 1e-14. The
+residuals detect a broken evaluation, not a wrong state: an exponent out of
+the float range (NumericRangeError) and, smeared, a time grid too coarse for
+the Bohr frequencies (the step-halving QuadratureError).
 
 Spectrally, each two-point function only needs the weight that A and B
 carry between each pair of joint levels (l, m), at the Bohr frequency
@@ -382,14 +388,15 @@ def _smeared_sides(f: GaussianTestFunction, w_lhs: np.ndarray, w_rhs: np.ndarray
     Level pairs share Bohr frequencies, and a pair's reverse has the
     negated one (39 distinct |omega| of 121 pairs on the 6-site Ising ring
     at h = 0, theta = (1, 0.2)), so each block of times takes one complex exp per
-    distinct |omega| and gathers the (times, pairs) phase table from them
-    and their conjugates: t (-omega) is -(t omega) exactly and libm's
-    complex exp is conjugate-symmetric, so these are the full table's values
-    (bar the sign of a zero imaginary part at t = 0), gathered C-ordered so
-    that its products with the weights sum in the full table's order."""
+    distinct |omega|, gathers the (times, pairs) phase table from them and
+    conjugates the negative frequencies' columns in place: t (-omega) is
+    -(t omega) exactly and libm's complex exp is conjugate-symmetric, so
+    these are the full table's values (bar the sign of a zero imaginary part
+    at t = 0), gathered C-ordered so that its products with the weights sum
+    in the full table's order. One block is held at a time."""
     ts = np.arange(-t_range, t_range + h / 2.0, h)
     mags, inverse = np.unique(np.abs(freqs), return_inverse=True)
-    columns = np.where(freqs < 0, inverse + len(mags), inverse)
+    sign = np.where(freqs < 0, -1.0, 1.0)
     lhs_t = np.empty(len(ts), dtype=complex)
     rhs_t = np.empty(len(ts), dtype=complex)
     rows = max([2] + [r for r in (128, 64, 32, 16, 8, 4) if r * len(freqs) <= _PHASE_ENTRIES])
@@ -398,10 +405,11 @@ def _smeared_sides(f: GaussianTestFunction, w_lhs: np.ndarray, w_rhs: np.ndarray
     # it alone too (rows divides 128, so then it is alone here as well)
     starts = list(range(0, len(ts) - (len(ts) % 128 != 1), rows)) + [len(ts)]
     for start, stop in zip(starts, starts[1:]):
-        half = np.exp(1j * np.outer(ts[start:stop], mags))
-        phases = np.concatenate((half, half.conj()), axis=1).take(columns, axis=1)
+        phases = np.exp(1j * np.outer(ts[start:stop], mags)).take(inverse, axis=1)
+        phases.imag *= sign
         lhs_t[start:stop] = phases @ w_lhs
         rhs_t[start:stop] = phases @ w_rhs
+        del phases  # before the next block is gathered
     lhs_int = np.trapezoid(f.values(ts) * lhs_t, dx=h)
     rhs_int = np.trapezoid(f.values(ts, imag_shift=-1.0) * rhs_t, dx=h)
     return lhs_int, rhs_int
@@ -506,8 +514,9 @@ def default_probes(family: ObservableFamily, seed: int, times) -> list:
     0, whatever the probes (see the module docstring): all 27 rows of
     configs/kms_ising.cfg's residuals.csv do. The (sz@0, sx@0) pair has no
     cross weight at all there, as sz is diagonal in the product basis and sx
-    has a zero diagonal; the other two pairs test something only through the
-    smeared residual."""
+    has a zero diagonal. The smeared residual of every pair is zero by
+    construction too, up to quadrature roundoff, so these pairs check the
+    evaluation of the residuals, not the state."""
     _check_dims(family)
     n = family.region.size
     rng = np.random.default_rng(seed)

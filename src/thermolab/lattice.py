@@ -34,7 +34,7 @@ import numpy as np
 
 from .config import Config
 from .convex import as_components
-from .errors import ResourceError, UsageError
+from .errors import NumericRangeError, ResourceError, UsageError
 
 DIMENSION_CAP = 2**14
 
@@ -573,15 +573,20 @@ def _counted_levels(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     level's lowest state (0..01..1 has the fewest walls of its d): that
     decides the sign of the +-0.0 energies a J = 0 chain merges. Rows and
     log-multiplicities equal the grouping of the 2^N states bit for bit, and
-    no dimension cap applies.
+    no dimension cap applies, but a class count past the float range raises
+    NumericRangeError.
     """
-    if spec.kind == "ising_chain":
-        counts = _chain_classes(n, spec.boundary == "periodic")
-        walls, downs = np.nonzero(counts)  # walls ascending
-        counts = counts[walls, downs]
-    else:
-        walls, downs = 0, np.arange(n + 1)
-        counts = np.array([comb(n, d) for d in downs], dtype=float)
+    try:
+        if spec.kind == "ising_chain":
+            counts = _chain_classes(n, spec.boundary == "periodic")
+            walls, downs = np.nonzero(counts)  # walls ascending
+            counts = counts[walls, downs]
+        else:
+            walls, downs = 0, np.arange(n + 1)
+            counts = np.array([comb(n, d) for d in downs], dtype=float)
+    except OverflowError:
+        raise NumericRangeError(f"the state counts of N = {n} sites pass the float "
+                                "range") from None
     columns = _kind_columns(spec, n, _n_bonds(spec, n) - 2.0 * walls, n - 2.0 * downs)
     order, breaks, rows = _grouped(columns)
     return rows, np.log(np.add.reduceat(counts[order], np.flatnonzero(breaks)))
