@@ -241,7 +241,10 @@ def _root_table(family: ErgodicFamily, k: int, targets: np.ndarray, tol: float):
     flat = (hi_range <= targets + tol) & (lo_range >= targets - tol)
 
     a, b, c = family.component_coefficients(k)
-    c = c - targets
+    # one power of two keeps b * b and 4 a c in range; the roots are ratios of
+    # the scaled terms and keep their bits, short of a scaled c - t underflow
+    scale = math.ldexp(1.0, -math.frexp(max(abs(a), abs(b)))[1])
+    a, b, c = a * scale, b * scale, (c - targets) * scale
     x = np.full((len(targets), 5), np.inf)
     x[:, 0], x[:, 1] = -1.0, 1.0
     accept = max(tol, 1e-9) * family.coefficient_scale[k]

@@ -20,8 +20,9 @@ fhat(delta) = sigma_w sqrt(2 pi) exp(-sigma_w^2 delta^2 / 2) makes the sides
 sum cross e^{-lam_l} fhat(delta) and cross e^{-lam_m - delta} fhat(delta),
 equal term by term, so a row is trapezoid roundoff, 1e-17 to 1e-14. The
 residuals detect a broken evaluation, not a wrong state: an exponent out of
-the float range (NumericRangeError) and, smeared, a time grid too coarse for
-the Bohr frequencies (the step-halving QuadratureError).
+the float range on a level pair the fold weights (NumericRangeError) and,
+smeared, a time grid too coarse for the Bohr frequencies (the step-halving
+QuadratureError).
 
 Spectrally, each two-point function only needs the weight that A and B
 carry between each pair of joint levels (l, m), at the Bohr frequency
@@ -38,12 +39,21 @@ Site Paulis are monomial probes, a permutation times one phase per row,
 and their dense matrices are built only when read. On a diagonal family
 (product basis) a fold with a monomial operand has one possibly nonzero
 product per row, so it costs O(dim) instead of O(dim^2), with the dense
-fold's bits; a dense family rotates both probes' matrices into its
-eigenbasis first. Bohr frequencies come in exact pairs, delta_ml =
--delta_lm, so the smeared sides take one complex exp per distinct |omega|
-and time, not per level pair, and conjugate it for the negative ones. A
-pointwise call takes a stack of times and builds its level and weight
-tables once for all of them.
+fold's bits; a dense family rotates each probe's matrix into its
+eigenbasis first, once per run (a memo beside the fold memo, see
+``ROTATION_MEMO_SIZE``).
+
+Phases are taken only where the fold has exact weight. On a diagonal family
+a probe pair's selection rules leave most level pairs with a cross weight of
+exactly 0 (on the 9-site Ising ring (sx@0, sy@0) weights 84 of 484 pairs,
+(sz@0, sx@0) none), and such a pair gets a zero phase, not a complex exp:
+zero times zero adds the signed zero that its own phase would, so every sum
+keeps its bits. A dense family's fold holds roundoff on nearly every pair,
+so it gains nothing. Bohr frequencies come in exact pairs, delta_ml =
+-delta_lm, so the smeared sides take one complex exp per weighted distinct
+|omega| and time, not per level pair, and conjugate it for the negative
+ones. A pointwise call takes a stack of times and builds its level and
+weight tables once for all of them.
 
 Test functions are Gaussians: entire, rapidly decaying, and with f(t-i)
 available in closed form along the shifted line.
@@ -71,6 +81,9 @@ _RESIDUAL_DIM_CAP = 2**10
 # Folds kept by the residuals' memo. default_probes makes 3 distinct pairs,
 # so one kms-verify run's folds all stay in it.
 FOLD_MEMO_SIZE = 8
+# Probe rotations kept for a dense family's folds. default_probes' pairs hold
+# 4 distinct probes, so each is rotated once per kms-verify run.
+ROTATION_MEMO_SIZE = 4
 # Rows of A~ per strip when the cross table is folded over level pairs.
 _FOLD_ROWS = 64
 # A Gaussian test function is cut off where |f(t)| and |f(t - i)| fall below this.
@@ -276,10 +289,18 @@ def _folded_cross(atil, btil, index: np.ndarray, n_levels: int) -> np.ndarray:
     return (real + 1j * imag).reshape(n_levels, n_levels)
 
 
-def _fold_operand(op: TestOperator, basis: np.ndarray | None):
-    """A probe as the fold reads it: a monomial probe as itself in the product
-    basis, anything else as its matrix rotated into the basis."""
-    return op if basis is None and op.cols is not None else _rotate(op.matrix, basis)
+@_locked_memo(ROTATION_MEMO_SIZE)
+def _memo_rotation(family: ObservableFamily, op: TestOperator) -> np.ndarray:
+    """A probe's matrix rotated into a dense family's eigenbasis, on first request."""
+    return _frozen([_rotate(op.matrix, family.level_view().basis)])[0]
+
+
+def _fold_operand(family: ObservableFamily, op: TestOperator):
+    """A probe as the fold reads it: in the product basis a monomial probe as
+    itself and a dense one as its matrix, in an eigenbasis its kept rotation."""
+    if family.level_view().basis is None:
+        return op if op.cols is not None else op.matrix
+    return _memo_rotation(family, op)
 
 
 @_locked_memo(FOLD_MEMO_SIZE)
@@ -290,14 +311,16 @@ def _memo_cross(family: ObservableFamily, a: TestOperator, b: TestOperator) -> n
     # _folded_cross is looked up at call time, so a rebinding (tests) sees
     # every fold
     view = family.level_view()
-    cross = _folded_cross(_fold_operand(a, view.basis), _fold_operand(b, view.basis),
+    cross = _folded_cross(_fold_operand(family, a), _fold_operand(family, b),
                           view.index, len(view.rows))
     return _frozen([cross])[0]
 
 
 def release_folds() -> None:
-    """Drop the folds the residuals have kept; later calls fold afresh."""
+    """Drop the folds and rotations the residuals have kept; later calls
+    rotate and fold afresh."""
     _memo_cross.cache_clear()
+    _memo_rotation.cache_clear()
 
 
 def _residual_tables(family: ObservableFamily, theta, a: TestOperator, b: TestOperator):
@@ -332,7 +355,9 @@ def kms_residual(family: ObservableFamily, theta, a: TestOperator, b: TestOperat
 
     A time gives a float; a 1-D sequence of times gives an array, each entry
     with the bits of its single-time call. The level and weight tables are
-    built once per call, and one L x L phase table serves every time.
+    built once per call, and one L x L phase table serves every time; it
+    holds complex exps only at the level pairs the fold weights, zeros
+    elsewhere.
     """
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
@@ -347,13 +372,15 @@ def kms_residual(family: ObservableFamily, theta, a: TestOperator, b: TestOperat
     # omega(B alpha_{t+i}(A)): weight e^{-lam_m} / Z and the analytic
     # continuation factor e^{-(lam_l - lam_m)} from the complex time
     w_rhs = np.exp(-lam[None, :] - delta - log_z)
-    phase = np.empty(delta.shape, dtype=complex)
+    # phases only where the fold has weight; elsewhere a zero phase times a
+    # zero cross weight adds a signed zero, as the pair's own phase would
+    weighted = np.flatnonzero(cross)
+    freqs = delta.ravel()[weighted]
+    phase = np.zeros(delta.shape, dtype=complex)
     out = np.empty(times.size)
     for k, tk in enumerate(times.ravel().tolist()):
-        # the bits of np.exp(1j * delta * t), with no new table per time
-        np.multiply(1j, delta, out=phase)
-        phase *= tk
-        np.exp(phase, out=phase)
+        # the bits of np.exp(1j * delta * t) on the weighted pairs
+        np.put(phase, weighted, np.exp(1j * freqs * tk))
         lhs = np.sum(w_lhs * phase * cross)
         rhs = np.sum(w_rhs * phase * cross)
         if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
@@ -385,17 +412,27 @@ def _smeared_sides(f: GaussianTestFunction, w_lhs: np.ndarray, w_rhs: np.ndarray
     over [-t_range, t_range], with LHS(t) = sum w_lhs e^{i freqs t} and
     RHS(t) = sum w_rhs e^{i freqs t} over the level pairs.
 
-    Level pairs share Bohr frequencies, and a pair's reverse has the
-    negated one (39 distinct |omega| of 121 pairs on the 6-site Ising ring
-    at h = 0, theta = (1, 0.2)), so each block of times takes one complex exp per
-    distinct |omega|, gathers the (times, pairs) phase table from them and
-    conjugates the negative frequencies' columns in place: t (-omega) is
-    -(t omega) exactly and libm's complex exp is conjugate-symmetric, so
-    these are the full table's values (bar the sign of a zero imaginary part
-    at t = 0), gathered C-ordered so that its products with the weights sum
-    in the full table's order. One block is held at a time."""
+    Only level pairs with an exactly nonzero weight on either side get a
+    phase; the others read a zero phase, and a zero weight times it adds the
+    signed zero that the pair's own phase would (with no weighted pair at
+    all both integrals are 0). Weighted pairs share Bohr frequencies, and a
+    pair's reverse has the negated one (on the 6-site Ising ring at h = 0,
+    theta = (1, 0.2), (sx@0, sy@0) weights 32 of the 121 pairs, on 8 of the
+    39 distinct |omega|), so each block of times takes one complex exp per
+    weighted |omega|, gathers the (times, pairs) phase table from them plus
+    one zero column and conjugates the negative frequencies' columns in
+    place: t (-omega) is -(t omega) exactly and libm's complex exp is
+    conjugate-symmetric, so these are the full table's values (bar the sign
+    of a zero imaginary part at t = 0), gathered C-ordered so that its
+    products with the weights sum in the full table's order. One phase table
+    is allocated per call and every block is gathered into it."""
+    weighted = (w_lhs != 0) | (w_rhs != 0)
+    if not weighted.any():
+        return 0j, 0j
     ts = np.arange(-t_range, t_range + h / 2.0, h)
-    mags, inverse = np.unique(np.abs(freqs), return_inverse=True)
+    mags, inverse = np.unique(np.abs(freqs[weighted]), return_inverse=True)
+    cols = np.full(len(freqs), len(mags))  # the zero column past the exps
+    cols[weighted] = inverse
     sign = np.where(freqs < 0, -1.0, 1.0)
     lhs_t = np.empty(len(ts), dtype=complex)
     rhs_t = np.empty(len(ts), dtype=complex)
@@ -404,12 +441,19 @@ def _smeared_sides(f: GaussianTestFunction, w_lhs: np.ndarray, w_rhs: np.ndarray
     # a lone last time joins the block before it unless 128-time blocks leave
     # it alone too (rows divides 128, so then it is alone here as well)
     starts = list(range(0, len(ts) - (len(ts) % 128 != 1), rows)) + [len(ts)]
+    tallest = max(np.diff(starts))
+    table = np.zeros((tallest, len(mags) + 1), dtype=complex)  # last column stays 0
+    phases = np.empty((tallest, len(freqs)), dtype=complex)
     for start, stop in zip(starts, starts[1:]):
-        phases = np.exp(1j * np.outer(ts[start:stop], mags)).take(inverse, axis=1)
-        phases.imag *= sign
-        lhs_t[start:stop] = phases @ w_lhs
-        rhs_t[start:stop] = phases @ w_rhs
-        del phases  # before the next block is gathered
+        n = stop - start
+        # the bits of np.exp(1j * np.outer(...)), with no complex temporary
+        exps = np.multiply(1j, np.outer(ts[start:stop], mags), out=table[:n, :-1])
+        np.exp(exps, out=exps)
+        # mode="clip" writes straight into the phase table ("raise" buffers)
+        block = np.take(table[:n], cols, axis=1, out=phases[:n], mode="clip")
+        block.imag *= sign
+        lhs_t[start:stop] = block @ w_lhs
+        rhs_t[start:stop] = block @ w_rhs
     lhs_int = np.trapezoid(f.values(ts) * lhs_t, dx=h)
     rhs_int = np.trapezoid(f.values(ts, imag_shift=-1.0) * rhs_t, dx=h)
     return lhs_int, rhs_int

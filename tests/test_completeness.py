@@ -32,7 +32,7 @@ from thermolab import (
 from thermolab.cli import Config
 from thermolab.completeness import InfeasibleGridPointWarning, normalize_constraint
 from thermolab.cli import run_experiment
-from thermolab.completeness import MERGE_RADIUS
+from thermolab.completeness import MERGE_RADIUS, _component_roots
 
 LN2 = math.log(2.0)
 
@@ -407,6 +407,30 @@ class TestLargeCouplings:
         assert cw(j=2e8, h=3.0).coefficient_scale == (1e8, 1.0)
         family = ErgodicFamily(ModelSpec("ising_chain", J=0.5, h=-7.0))
         assert family.coefficient_scale == (7.0, 1.0)
+
+
+class TestOverflowingCouplings:
+    """Past |J| ~ 1e154, b * b or 4 a c leaves the float range; the root table
+    scales a, b and c - t by one power of two, so the roots survive with the
+    bits the unscaled formula gives wherever it stays in range."""
+
+    @pytest.mark.parametrize("j", [1e160, 1e300])
+    def test_both_phases_at_overflowing_coupling(self, j):
+        roots, etas = product_state_roots("curie_weiss", j, 0.0, 0, -j / 4.0)
+        result = constrained_entropy_max(cw(j=j), {0: -j / 4.0})
+        assert result.multiplicity == 2
+        assert_allclose(result.maximizers, roots, rtol=1e-15, atol=0)
+        assert abs(result.maximizers[1] - 1.0 / math.sqrt(2.0)) <= 2e-16
+        assert_allclose(result.entropy_value, max(etas), rtol=1e-14)
+
+    @pytest.mark.parametrize("j", [1.0, 3.0, 1e10, 1e150])
+    @pytest.mark.parametrize("h_over_j", [0.0, 0.3])
+    def test_roots_keep_the_unscaled_bits(self, j, h_over_j):
+        h, target = h_over_j * j, -j / 4.0
+        a, b, c = -j / 2.0, -h, -0.0 - target
+        q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+        unscaled = sorted(x + 0.0 for x in (q / a, c / q) if -1.0 <= x <= 1.0)
+        assert _component_roots(cw(j=j, h=h), 0, target, 1e-9) == unscaled
 
 
 class TestScanFreeSolves:

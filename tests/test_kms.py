@@ -540,6 +540,34 @@ class TestSmearedSidesClosedForm:
                 assert abs(lhs - np.sum(w_lhs * gauss)) <= 1e-13
                 assert abs(rhs - np.sum(w_rhs * gauss * np.exp(-freqs))) <= 1e-13
 
+    @pytest.mark.parametrize("sigma_w", [0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("spec, n, theta", [
+        (ModelSpec("ising_chain", J=1.0, h=0.0, boundary="periodic"), 6, [1.0, 0.2]),
+        (ModelSpec("transverse_ising_chain", J=1.0, hx=0.7, boundary="open"), 5, [1.0]),
+        (ModelSpec("transverse_ising_chain", J=1.0, hx=0.7, boundary="open"), 6, [0.5]),
+    ], ids=["ring-6", "open-transverse-5", "open-transverse-6"])
+    def test_both_sides_across_widths(self, spec, n, theta, sigma_w):
+        # each side within 1e-12 of the sum of its terms' magnitudes: the open
+        # chain's (sx, sy) and (sz, sx) folds hold only roundoff (|LHS| about
+        # 1e-17, by parity), which an absolute bound would pass unread
+        fam = build_model(spec, spec.region(n))
+        f = GaussianTestFunction(sigma_w)
+        step = default_quadrature_step(fam, theta, f)
+        try:
+            for a, b, _ in default_probes(fam, 2, [0.0]):
+                lam, log_z, cross, delta = _residual_tables(fam, theta, a, b)
+                w_lhs = (np.exp(-lam[:, None] - log_z) * cross).ravel()
+                w_rhs = (np.exp(-lam[None, :] - log_z) * cross).ravel()
+                freqs = delta.ravel()
+                gauss = sigma_w * math.sqrt(2.0 * math.pi) * np.exp(-(sigma_w * freqs) ** 2 / 2.0)
+                terms = (w_lhs * gauss, w_rhs * gauss * np.exp(-freqs))
+                for h in (step, step / 2.0):
+                    got = _smeared_sides(f, w_lhs, w_rhs, freqs, f.support_radius(), h)
+                    for side, term in zip(got, terms):
+                        assert abs(side - np.sum(term)) <= 1e-12 * np.sum(np.abs(term))
+        finally:
+            release_folds()
+
 
 class TestSmearedResidualInputs:
     """A time grid that is empty, unbounded or undefined is refused: an empty
