@@ -81,9 +81,9 @@ class ArtifactWriter:
         self._queue(name, "csv", rows, "".join([self._header(), ",".join(columns), "\n", body]))
 
     def write_curve(self, name: str, curve: CurveSamples):
-        meta = dict(curve.metadata, seed=self.seed)
-        body = CurveSamples(curve.grid, curve.values, curve.orientation, meta).to_csv()
-        self._queue(name, "curve_csv", curve.npoints, self._header() + body)
+        """Queue a curve's CSV; the seed goes into its metadata (the runner's own)."""
+        curve.metadata["seed"] = self.seed
+        self._queue(name, "curve_csv", curve.npoints, self._header() + curve.to_csv())
 
     def write_json(self, name: str, payload, rows: int):
         self._queue(name, "json", rows, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -152,13 +152,10 @@ def _run_pressure(cfg: Config, writer: ArtifactWriter, threads: int):
 
     # one stacked pressure_limit call per thread's contiguous chunk of the
     # grid; the chunks share each size's family through the memo. A run keeps
-    # its families for its own thetas only, so every run pays for (and its
-    # trace shows) the builds it needs
-    try:
-        chunks = _pool_map(lambda rows: pressure_limit(spec, rows, sizes, fit=fit),
-                           _chunks(thetas, threads), threads)
-    finally:
-        release_families()
+    # its families for its own thetas only (run_experiment drops them), so
+    # every run pays for (and its trace shows) the builds it needs
+    chunks = _pool_map(lambda rows: pressure_limit(spec, rows, sizes, fit=fit),
+                       _chunks(thetas, threads), threads)
     estimates = [est for chunk in chunks for est in chunk]
     columns = [f"theta_{k}" for k in range(spec.n_observables)]
     columns += ["N", "phi_N", "value", "extrapolation_error"]
@@ -264,22 +261,19 @@ def _run_kms_verify(cfg: Config, writer: ArtifactWriter, threads: int):
 
     # one serial pass over theta (a thread pool slowed every shipped kms
     # config). Each probe pair is folded once and shared by every theta and t,
-    # pointwise and smeared; the run drops its folds when it ends
+    # pointwise and smeared; run_experiment drops the folds when the run ends
     rows, smeared_rows = [], []
-    try:
-        for th in thetas:
-            head = (spec.kind, n) + tuple(th)
-            # one stacked call per pair; rows are time-major, as default_probes' are
-            res = [kms_residual(family, th, a, b, times).tolist() for a, b in pairs]
-            rows += [head + (a.label, b.label, t, r[k])
-                     for k, t in enumerate(times) for (a, b), r in zip(pairs, res)]
-            if sigma_w > 0:
-                step = default_quadrature_step(family, th, f)
-                smeared_rows += [head + (a.label, b.label, math.nan,
-                                         kms_smeared_residual(family, th, a, b, f, step=step),
-                                         sigma_w, step) for a, b in pairs[:smeared_pairs]]
-    finally:
-        release_folds()
+    for th in thetas:
+        head = (spec.kind, n) + tuple(th)
+        # one stacked call per pair; rows are time-major, as default_probes' are
+        res = [kms_residual(family, th, a, b, times).tolist() for a, b in pairs]
+        rows += [head + (a.label, b.label, t, r[k])
+                 for k, t in enumerate(times) for (a, b), r in zip(pairs, res)]
+        if sigma_w > 0:
+            step = default_quadrature_step(family, th, f)
+            smeared_rows += [head + (a.label, b.label, math.nan,
+                                     kms_smeared_residual(family, th, a, b, f, step=step),
+                                     sigma_w, step) for a, b in pairs[:smeared_pairs]]
     writer.write_csv("residuals.csv", cols, [_line(row) for row in rows])
     if sigma_w > 0:
         writer.write_csv("smeared.csv", cols + ["sigma_w", "quadrature_step"],
@@ -401,7 +395,12 @@ def run_experiment(subcommand: str, config_path, out_dir, seed: int = 0,
     _check_out_dir(out)
     cfg = Config.load(config_path)
     writer = ArtifactWriter(out, seed, cfg)
-    extras = _RUNNERS[subcommand](cfg, writer, threads)
+    try:
+        extras = _RUNNERS[subcommand](cfg, writer, threads)
+    finally:
+        # the build-once memos (families, folds, rotations) live for one run
+        release_families()
+        release_folds()
     writer.flush()
 
     manifest = {

@@ -466,7 +466,6 @@ def mean_field_pressure(family: ErgodicFamily, theta) -> float:
 class SlopeGap:
     """One-sided slopes of the variational pressure across a control value."""
 
-    theta: tuple
     component: int
     step: float
     left: float
@@ -503,4 +502,4 @@ def pressure_slope_gap(family: ErgodicFamily, theta, component: int = 1,
     minus[component] -= step
     right = (mean_field_pressure(family, plus) - center) / step
     left = (center - mean_field_pressure(family, minus)) / step
-    return SlopeGap(tuple(th), component, step, left, right)
+    return SlopeGap(component, step, left, right)

@@ -454,8 +454,11 @@ def _smeared_sides(f: GaussianTestFunction, w_lhs: np.ndarray, w_rhs: np.ndarray
         block.imag *= sign
         lhs_t[start:stop] = block @ w_lhs
         rhs_t[start:stop] = block @ w_rhs
-    lhs_int = np.trapezoid(f.values(ts) * lhs_t, dx=h)
-    rhs_int = np.trapezoid(f.values(ts, imag_shift=-1.0) * rhs_t, dx=h)
+    # below sigma_w of about 0.0265 the shifted side leaves the float range,
+    # which kms_smeared_residual reports as NumericRangeError, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs_int = np.trapezoid(f.values(ts) * lhs_t, dx=h)
+        rhs_int = np.trapezoid(f.values(ts, imag_shift=-1.0) * rhs_t, dx=h)
     return lhs_int, rhs_int
 
 
@@ -469,7 +472,9 @@ def kms_smeared_residual(family: ObservableFamily, theta, a: TestOperator, b: Te
     |f| > 1e-14 on the strip and the step to resolving the fastest Bohr
     frequency of theta.Q. A step-halving disagreement above
     1e-6 * max|A| * max|B| (entrywise, see TestOperator.max_norm) raises
-    QuadratureError; the half-step value is returned otherwise. A given
+    QuadratureError; the half-step value is returned otherwise. A
+    non-finite side, as below sigma_w of about 0.0265, where |f(-i)| =
+    e^{1/(2 sigma_w^2)} passes the float range, raises NumericRangeError. A given
     t_range or step must be positive and finite (an empty time grid would
     read as a perfect pass), else UsageError; so is a half-step grid of over
     MAX_RANGE_POINTS points (:func:`check_quadrature_length`), before any
@@ -494,6 +499,11 @@ def kms_smeared_residual(family: ObservableFamily, theta, a: TestOperator, b: Te
     coarse = abs(lhs - rhs)
     lhs, rhs = _smeared_sides(f, w_lhs, w_rhs, freqs, t_range, step / 2.0)
     fine = abs(lhs - rhs)
+    # a non-finite side makes its residual non-finite, which the step-halving
+    # test below would pass (NaN compares false)
+    if not (math.isfinite(coarse) and math.isfinite(fine)):
+        raise NumericRangeError(f"smeared sides left the float range at sigma_w = {f.sigma_w!r}: "
+                                "|f(t - i)| reaches e^(1 / (2 sigma_w^2))")
     if abs(coarse - fine) > 1e-6 * a.max_norm() * b.max_norm():
         raise QuadratureError(
             f"step-halving disagreement {abs(coarse - fine):.3e} at step {step:.3e}"
@@ -502,20 +512,9 @@ def kms_smeared_residual(family: ObservableFamily, theta, a: TestOperator, b: Te
 
 
 @dataclass(frozen=True)
-class ProbeScore:
-    a_label: str
-    b_label: str
-    t: float
-    score: float
-
-
-@dataclass(frozen=True)
 class DiscriminationReport:
     """Whether the dynamics generated by two controls can be told apart."""
 
-    theta_1: tuple
-    theta_2: tuple
-    scores: tuple
     max_score: float
     distinguishable: bool
 
@@ -534,17 +533,10 @@ def kms_theta_discrimination(family: ObservableFamily, theta_1, theta_2,
         raise UsageError("probe set must be non-empty")
     th1 = as_components(theta_1, family.n_observables)
     th2 = as_components(theta_2, family.n_observables)
-    scores = []
-    for a, b, t in probes:
-        best = 0.0
-        for op in (a, b):
-            moved1 = evolve(op, family, th1, t)
-            moved2 = evolve(op, family, th2, t)
-            best = max(best, float(np.max(np.abs(moved1.matrix - moved2.matrix))))
-        scores.append(ProbeScore(a.label, b.label, float(t), best))
-    max_score = max(s.score for s in scores)
-    return DiscriminationReport(tuple(map(float, th1)), tuple(map(float, th2)),
-                                tuple(scores), max_score, max_score > 1e-10)
+    max_score = max(float(np.max(np.abs(evolve(op, family, th1, t).matrix
+                                        - evolve(op, family, th2, t).matrix)))
+                    for a, b, t in probes for op in (a, b))
+    return DiscriminationReport(max_score, max_score > 1e-10)
 
 
 DEFAULT_PROBE_PAIRS = 3  # the distinct (A, B) pairs default_probes gives at each time

@@ -186,14 +186,13 @@ class ObservableFamily:
                 raise UsageError("dense families hold a single observable; "
                                  "commuting observables are stored as diagonals")
             shapes_ok = all(m.shape == (dim, dim) for m in matrices)
-            for m in matrices:
-                if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
-                    raise UsageError("observables must be hermitian")
-        if not shapes_ok:
+        if not shapes_ok:  # first: the checks below need square matrices
             raise UsageError(f"observable shape mismatch for dimension {dim}")
-        if matrices is not None and not all(np.array_equal(m, m[::-1, ::-1])
-                                            for m in matrices):
-            raise UsageError("a dense observable must commute with the global spin flip")
+        for m in matrices or ():
+            if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
+                raise UsageError("observables must be hermitian")
+            if not np.array_equal(m, m[::-1, ::-1]):
+                raise UsageError("a dense observable must commute with the global spin flip")
         if n == 0:
             raise UsageError("family needs at least one observable")
         if len(labels) != n:
