@@ -81,8 +81,7 @@ class ArtifactWriter:
         self._queue(name, "csv", rows, "".join([self._header(), ",".join(columns), "\n", body]))
 
     def write_curve(self, name: str, curve: CurveSamples):
-        """Queue a curve's CSV; the seed goes into its metadata (the runner's own)."""
-        curve.metadata["seed"] = self.seed
+        """Queue a curve's CSV; its seed is the run header's."""
         self._queue(name, "curve_csv", curve.npoints, self._header() + curve.to_csv())
 
     def write_json(self, name: str, payload, rows: int):

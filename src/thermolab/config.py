@@ -49,59 +49,48 @@ class Config:
     def load(cls, path) -> "Config":
         return cls.parse(Path(path).read_text(), str(path))
 
-    def _take(self, key: str, required: bool):
+    def _parsed(self, key: str, default, required: bool, parse):
+        """``parse`` of the key's value, or ``default`` when the key is absent;
+        the message of a ValueError from ``parse`` becomes a ConfigError on the key."""
         if key not in self.entries:
             if required:
                 raise self.error("missing required key", key)
-            return None
+            return default
         value, _ = self.entries[key]
         self.consumed[key] = value
-        return value
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise self.error(str(exc), key) from None
 
     def get_str(self, key: str, default: str | None = None, required: bool = False,
                 choices=None) -> str | None:
-        value = self._take(key, required)
-        if value is None:
-            value = default
+        value = self._parsed(key, default, required, str)
         if value is not None and choices and value not in choices:
             raise self.error(f"value {value!r} not in {sorted(choices)}", key)
         return value
 
     def get_float(self, key: str, default=None, required: bool = False,
                   positive: bool = False):
-        value = self._take(key, required)
-        if value is None:
-            return default
-        try:
-            number = float(value)
-        except ValueError:
-            raise self.error(f"cannot parse {value!r} as a number", key) from None
-        if not math.isfinite(number):
-            raise self.error(f"expected a finite number, got {value!r}", key)
-        if positive and number <= 0.0:
-            raise self.error(f"expected a positive finite number, got {value!r}", key)
-        return number
+        def parse(value):
+            number = _number(value, float, "a number")
+            if not math.isfinite(number):
+                raise ValueError(f"expected a finite number, got {value!r}")
+            if positive and number <= 0.0:
+                raise ValueError(f"expected a positive finite number, got {value!r}")
+            return number
+        return self._parsed(key, default, required, parse)
 
     def get_int(self, key: str, default=None, required: bool = False):
-        value = self._take(key, required)
-        if value is None:
-            return default
-        try:
-            return int(value)
-        except ValueError:
-            raise self.error(f"cannot parse {value!r} as an integer", key) from None
+        return self._parsed(key, default, required, lambda v: _number(v, int, "an integer"))
 
     def get_floats(self, key: str, default=None, required: bool = False):
-        value = self._take(key, required)
-        if value is None:
-            return default
-        try:
+        def parse(value):
             numbers = _parse_number_list(value)
-        except ValueError as exc:
-            raise self.error(str(exc), key) from None
-        if not all(map(math.isfinite, numbers)):
-            raise self.error(f"expected finite numbers, got {value!r}", key)
-        return numbers
+            if not all(map(math.isfinite, numbers)):
+                raise ValueError(f"expected finite numbers, got {value!r}")
+            return numbers
+        return self._parsed(key, default, required, parse)
 
     def get_ints(self, key: str):
         """A required list of integers (see ``_parse_number_list``)."""
@@ -124,6 +113,14 @@ class Config:
 
     def echo(self) -> dict:
         return dict(sorted(self.consumed.items()))
+
+
+def _number(text: str, kind, name: str):
+    """``kind(text)``; a ValueError reads "cannot parse ``text`` as ``name``"."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"cannot parse {text!r} as {name}") from None
 
 
 def _parse_number_list(text: str) -> list[float]:

@@ -296,10 +296,9 @@ class CurveSamples:
 
     @classmethod
     def from_csv(cls, text: str) -> "CurveSamples":
-        orientation = None
         metadata = {}
         rows = []
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
@@ -307,14 +306,19 @@ class CurveSamples:
                 body = line[1:].strip()
                 if "=" in body:
                     key, _, val = body.partition("=")
-                    if key.strip() == "orientation":
-                        orientation = val.strip()
-                    else:
-                        metadata[key.strip()] = val.strip()
+                    metadata[key.strip()] = val.strip()
                 continue
             if line.startswith("q_"):
                 continue
-            rows.append([float(tok) for tok in line.split(",")])
+            try:
+                row = [float(tok) for tok in line.split(",")]
+            except ValueError:
+                raise DataError(f"line {lineno}: cannot parse {line!r} as numbers") from None
+            if len(row) < 2 or rows and len(row) != len(rows[0]):
+                raise DataError(f"line {lineno}: {len(row)} columns; every sample row needs "
+                                "the first row's count, at least 2")
+            rows.append(row)
+        orientation = metadata.pop("orientation", None)
         if orientation is None:
             raise DataError("missing '# orientation=' header")
         if not rows:

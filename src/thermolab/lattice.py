@@ -409,15 +409,17 @@ class Translation:
     n_sites: int
     shift: int = 1
 
+    def __post_init__(self):
+        if self.n_sites < 1:
+            raise UsageError(f"translation needs at least one site, got {self.n_sites}")
+
     def permutation(self) -> np.ndarray:
         """tau with tau[i] = index of the shifted configuration."""
         n = self.n_sites
         x = self.shift % n
         idx = np.arange(2**n, dtype=np.int64)
-        tau = idx.copy()
-        for _ in range(x):
-            tau = (tau >> 1) | ((tau & 1) << (n - 1))
-        return tau
+        # rotate the n-bit index right by x: its low x bits move to the top
+        return (idx >> x) | ((idx << (n - x)) & (2**n - 1))
 
     def conjugate_diagonal(self, diag: np.ndarray) -> np.ndarray:
         """Diagonal of sigma(x) Q sigma(x)^-1 for diagonal Q."""
@@ -697,16 +699,14 @@ def _split_defects(family: ObservableFamily) -> tuple[dict, tuple] | tuple[None,
         sub_spec = replace(spec, boundary="open")
     fam_a = build_model(sub_spec, sub_spec.region(na))
     fam_b = build_model(sub_spec, sub_spec.region(nb))
-    defects = {}
-    for j, label in enumerate(family.labels):
-        if family.is_diagonal:
-            joined = np.add.outer(fam_a.diagonals[j], fam_b.diagonals[j]).ravel()
-            defects[label] = float(np.max(np.abs(family.diagonals[j] - joined)))
-        else:
-            joined = np.kron(fam_a.dense[j], np.eye(fam_b.dim)) + np.kron(
-                np.eye(fam_a.dim), fam_b.dense[j]
-            )
-            defects[label] = float(np.max(np.abs(family.dense[j] - joined)))
+    whole, part_a, part_b = (f.diagonals or f.dense for f in (family, fam_a, fam_b))
+    if family.is_diagonal:
+        joined = [np.add.outer(a, b).ravel() for a, b in zip(part_a, part_b)]
+    else:
+        joined = [np.kron(a, np.eye(len(b))) + np.kron(np.eye(len(a)), b)
+                  for a, b in zip(part_a, part_b)]
+    defects = {label: float(np.max(np.abs(q - j)))
+               for label, q, j in zip(family.labels, whole, joined)}
     return defects, (na, nb)
 
 
@@ -729,14 +729,10 @@ def verify_family(family: ObservableFamily) -> StructureReport:
     trans = None
     if family.region.translation_invariant and family.region.size >= 2:
         shift = Translation(family.region.size)
+        conjugate = shift.conjugate_diagonal if family.is_diagonal else shift.conjugate_dense
         trans = 0.0
-        for j in range(family.n_observables):
-            if family.is_diagonal:
-                moved = shift.conjugate_diagonal(family.diagonals[j])
-                trans = max(trans, float(np.max(np.abs(moved - family.diagonals[j]))))
-            else:
-                moved = shift.conjugate_dense(family.dense[j])
-                trans = max(trans, float(np.max(np.abs(moved - family.dense[j]))))
+        for q in family.diagonals or family.dense:
+            trans = max(trans, float(np.max(np.abs(conjugate(q) - q))))
 
     defects, split = _split_defects(family)
     return StructureReport(

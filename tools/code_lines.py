@@ -3,7 +3,10 @@ not a '#' comment and not part of a docstring (module, class or function,
 found with ast). Deleting a comment or a docstring does not shrink this
 count, so it measures code removed, beside the raw line count.
 
-    python tools/code_lines.py src/thermolab     # prints the total
+    python tools/code_lines.py src/thermolab
+
+prints one "<code lines> <file>" line per module, in file name order, and
+the package total as its last line.
 """
 
 import ast
@@ -28,7 +31,12 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: code_lines.py PACKAGE_DIR", file=sys.stderr)
         return 2
-    print(sum(code_lines(path.read_text()) for path in sorted(Path(argv[0]).glob("*.py"))))
+    total = 0
+    for path in sorted(Path(argv[0]).glob("*.py")):
+        count = code_lines(path.read_text())
+        print(count, path)
+        total += count
+    print(total)
     return 0
 
 
