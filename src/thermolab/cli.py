@@ -93,7 +93,7 @@ class ArtifactWriter:
             f"# thermolab={__version__}",
             f"# seed={self.seed}",
         ]
-        lines.extend(f"# {k}={v}" for k, v in sorted(self.cfg.echo().items()))
+        lines.extend(f"# {k}={v}" for k, v in self.cfg.echo().items())
         return "\n".join(lines) + "\n"
 
     def flush(self):
@@ -308,11 +308,12 @@ def _run_diff_test(cfg: Config, writer: ArtifactWriter, threads: int):
         m_values = _decimal_range(-edge, edge, spacing, decimals)
     except ValueError as exc:
         raise cfg.error(str(exc), "m_spacing") from None
-    curve = entropy_curve(family, family.densities(m_values))
+    densities = family.densities(m_values)
+    curve = entropy_curve(family, densities)
     # rows are picked by the sweep's m, not by a density column (free spins
     # have only (1 - m)/2). Some density of every family is strictly monotone
     # in m, so the box around the window's densities holds exactly its points.
-    window = family.densities([m for m in m_values if abs(m) <= m_max])
+    window = densities[np.abs(m_values) <= m_max]
     reported = np.all((curve.grid >= window.min(axis=0))
                       & (curve.grid <= window.max(axis=0)), axis=1)
     inner = np.flatnonzero(reported[2:curve.npoints - 2]) + 2

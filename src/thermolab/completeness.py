@@ -377,7 +377,8 @@ def entropy_curve(family: ErgodicFamily, grid, tol: float = 1e-9,
     component). Infeasible points are skipped with an
     InfeasibleGridPointWarning. One-component grids are sorted by
     coordinate; higher-dimensional grids keep the caller's order (a chain
-    of samples along the family's reachable set).
+    of samples along the family's reachable set). The curve's metadata is
+    its ``family`` alone: the model and its couplings are the run's config.
     """
     if isinstance(grid, np.ndarray):
         comps = list(range(family.n_components))
@@ -411,9 +412,7 @@ def entropy_curve(family: ErgodicFamily, grid, tol: float = 1e-9,
     if len(comps) == 1:
         order = np.argsort(points[:, 0])
         points, values = points[order], values[order]
-    meta = {"family": family.kind, "model": family.model.kind}
-    meta.update({k: v for k, v in family.model.config_echo().items() if k != "model"})
-    return CurveSamples(points, values, CONCAVE, meta)
+    return CurveSamples(points, values, CONCAVE, {"family": family.kind})
 
 
 def family_curve_constraints(family: ErgodicFamily, m_values) -> list[dict]:
