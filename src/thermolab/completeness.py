@@ -50,11 +50,9 @@ class InfeasibleGridPointWarning(UserWarning):
 def _eta(m: float) -> float:
     """``ErgodicFamily.entropy`` of a float m, for the solver's scalar calls."""
     p = (1.0 + m) / 2.0
-    out = 0.0
-    for w in (p, 1.0 - p):
-        if w > 0.0:
-            out -= w * math.log(w)
-    return out
+    q = 1.0 - p
+    out = 0.0 - p * math.log(p) if p > 0.0 else 0.0
+    return out - q * math.log(q) if q > 0.0 else out
 
 
 class ErgodicFamily:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
 
 # Longest list a lo:hi:step range may expand to.
@@ -150,6 +152,15 @@ def _decimal_range(lo: float, hi: float, step: float, decimals: int) -> list[flo
     ``-0.1:0.1:0.01`` pass through 0 exactly and ``0:0.3:0.1`` end at 0.3;
     no point lies past hi. Bad bounds and ranges of over MAX_RANGE_POINTS
     points raise ValueError before any point is built.
+
+    The points x = lo + k*step are rounded as one array, with the bits of
+    ``round(x, decimals) + 0.0``, when 10**decimals is an exact double
+    (decimals <= 22) and every y = x*10**decimals has |y| < 2**50 and lies
+    within 0.25 of its nearest integer n: y is then within 1/16 of the exact
+    product, so n is the correctly rounded decimal and no tie can occur, and
+    the one correctly rounded division n / 10**decimals is the double that
+    ``round`` parses back. A range with any other point takes ``round`` on
+    every point.
     """
     text = f"{lo!r}:{hi!r}:{step!r}"
     if not all(math.isfinite(x) for x in (lo, hi, step)):
@@ -161,8 +172,15 @@ def _decimal_range(lo: float, hi: float, step: float, decimals: int) -> list[flo
     count = math.floor((hi - lo) / step + 0.5) + 1
     if round(lo + (count - 1) * step, decimals) > hi:
         count -= 1  # the span was rounded up to a whole step past hi
+    x = lo + np.arange(count) * step
     # "+ 0.0" turns a rounded -0.0 into 0.0
-    return [round(lo + k * step, decimals) + 0.0 for k in range(count)]
+    if decimals <= 22:
+        scale = 10.0**decimals
+        y = x * scale
+        n = np.rint(y)
+        if np.all((np.abs(y) < 2.0**50) & (np.abs(y - n) < 0.25)):
+            return (n / scale + 0.0).tolist()
+    return [round(v, decimals) + 0.0 for v in x.tolist()]
 
 
 def _decimals(token: str) -> int:

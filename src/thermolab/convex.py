@@ -601,6 +601,9 @@ def biconjugate(f: CurveSamples) -> CurveSamples:
     slopes between neighbouring samples (``_neighbours``), which makes the
     round trip exact for piecewise-linear concave data; an axis with one
     value has the slope 0. Supported on 1-d and Cartesian product grids.
+    f* and the hull come from 32-row blocks of products (``_blocked_extremes``):
+    outer products on a 1-d curve, stacked mat-vecs on a product grid, each
+    row with the bits of its own mat-vec.
     """
     if f.orientation != CONCAVE:
         raise UsageError("biconjugate expects concave-oriented samples")
@@ -625,7 +628,19 @@ def biconjugate(f: CurveSamples) -> CurveSamples:
 
 def _blocked_extremes(extreme, op, base, table, points):
     """extreme(op(base, table @ p)) per row p of ``points``, over (32, len(table))
-    blocks whose stacked mat-vecs give each row the bits of ``table @ p``."""
-    return np.concatenate([
-        extreme(op(base, np.matmul(table[None], points[s:s + 32, :, None])[..., 0]), axis=1)
-        for s in range(0, len(points), 32)])
+    blocks, each row with the bits of ``table @ p``.
+
+    A one-column table (every 1-d curve) takes its block from the outer product
+    of the 32 points with the column, plus 0.0: a one-term mat-vec sums 0 + t*p,
+    so a product that is -0.0, exact or underflowed, reads +0.0 there too.
+    Wider tables take stacked mat-vecs, whose sums BLAS may fuse.
+    """
+    blocks = []
+    for s in range(0, len(points), 32):
+        if table.shape[1] == 1:
+            block = np.multiply.outer(points[s:s + 32, 0], table[:, 0])
+            block += 0.0
+        else:
+            block = np.matmul(table[None], points[s:s + 32, :, None])[..., 0]
+        blocks.append(extreme(op(base, block, out=block), axis=1))
+    return np.concatenate(blocks)
