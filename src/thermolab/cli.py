@@ -205,7 +205,7 @@ def _run_legendre(cfg: Config, writer: ArtifactWriter, threads: int):
     writer.write_table("pressure_curve.csv", columns, np.hstack([thetas, results]))
 
     extras = {}
-    if curve.ndim == 1 or curve.axes() is not None:
+    if curve.axes() is not None:
         # chain-of-samples grids (joint curves) have no product structure to
         # conjugate back onto; the round trip is emitted where it is defined
         hull = biconjugate(curve)
@@ -295,7 +295,8 @@ def _run_diff_test(cfg: Config, writer: ArtifactWriter, threads: int):
     # one-sided pressure slopes across the symmetry-breaking control value,
     # first: a kink_step too small to read a kink is refused before the curve
     base = [theta0] + [0.0] * (family.n_components - 1)
-    gap = pressure_slope_gap(family, base, component=family.n_components - 1, step=step)
+    component = family.n_components - 1
+    gap = pressure_slope_gap(family, base, component=component, step=step)
 
     # smoothness of the entropy surface along the family curve; the sweep is
     # padded two steps so every reported point has full two-interval stencils
@@ -335,7 +336,7 @@ def _run_diff_test(cfg: Config, writer: ArtifactWriter, threads: int):
     writer.write_csv(
         "pressure_kink.csv",
         ["theta_0", "component", "step", "left_slope", "right_slope", "gap"],
-        [_line((theta0, gap.component, gap.step, gap.left, gap.right, gap.gap))],
+        [_line((theta0, component, step, gap.left, gap.right, gap.gap))],
     )
 
     if theta1_values:

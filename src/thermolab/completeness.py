@@ -39,6 +39,9 @@ from .lattice import ModelSpec
 
 SCAN_RESOLUTION = 1e-5
 MERGE_RADIUS = 1e-6
+# Largest roundoff bound, 2 eps max|phi| / step, that pressure_slope_gap
+# accepts on its difference quotients (slopes are densities, order one).
+SLOPE_ROUNDOFF_BAR = 1e-6
 
 _SUPPORTED_KINDS = ("free_spins", "ising_chain", "curie_weiss")
 
@@ -463,8 +466,6 @@ def mean_field_pressure(family: ErgodicFamily, theta) -> float:
 class SlopeGap:
     """One-sided slopes of the variational pressure across a control value."""
 
-    component: int
-    step: float
     left: float
     right: float
 
@@ -482,6 +483,9 @@ def pressure_slope_gap(family: ErgodicFamily, theta, component: int = 1,
     A step below 2**-26 * max(1, |theta[component]|), the square root of the
     float64 epsilon at that scale, is a UsageError: its quotients would be
     roundoff, and a step that leaves the pressure unmoved reads as no kink.
+    So is a step whose quotients carry a roundoff bound, 2 eps max|phi| /
+    step over the three pressures, above ``SLOPE_ROUNDOFF_BAR``: a large
+    pressure rounds away the change that a small step makes to it.
     """
     th = as_components(theta, family.n_components)
     if not 0 <= component < family.n_components:
@@ -497,6 +501,11 @@ def pressure_slope_gap(family: ErgodicFamily, theta, component: int = 1,
     plus[component] += step
     minus = th.copy()
     minus[component] -= step
-    right = (mean_field_pressure(family, plus) - center) / step
-    left = (center - mean_field_pressure(family, minus)) / step
-    return SlopeGap(component, step, left, right)
+    phis = (mean_field_pressure(family, minus), center, mean_field_pressure(family, plus))
+    scale = max(map(abs, phis))
+    if 2.0 * math.ulp(1.0) * scale / step > SLOPE_ROUNDOFF_BAR:
+        raise UsageError(f"step {step!r} is too small for a pressure of {scale!r}: its "
+                         f"difference quotients would be roundoff past {SLOPE_ROUNDOFF_BAR}")
+    right = (phis[2] - center) / step
+    left = (center - phis[0]) / step
+    return SlopeGap(left, right)

@@ -6,12 +6,12 @@ samples: conjugation (entropy density <-> reduced pressure), supporting-slope
 intervals (superdifferentials), concavity audits and the biconjugate hull.
 
 This module owns the package's point convention, and ``gibbs`` follows it:
-``as_components`` reads one point (or a ``ControlVector``), ``as_stack`` a
-(P, n) stack of points, one point being its one-row case. A stacked call
-(``tangent_set``, ``gibbs.finite_pressure``, ``gibbs.pressure_limit``)
-answers every row with the bits of the row's own single-point call. Tangent
-stencils are array expressions over a per-axis table of each sample's
-neighbours one and two steps away.
+``as_components`` reads one point (a ``ControlVector`` reads as an array),
+``as_stack`` a (P, n) stack of points, one point being its one-row case. A
+stacked call (``tangent_set``, ``gibbs.finite_pressure``,
+``gibbs.pressure_limit``) answers every row with the bits of the row's own
+single-point call. Tangent stencils are array expressions over a per-axis
+table of each sample's neighbours one and two steps away.
 
 Conventions: a concave curve ``s(q)`` conjugates to the convex
 ``phi(theta) = sup_q (s(q) - theta.q)``; the convex orientation inverts with
@@ -70,8 +70,8 @@ class ControlVector:
         if self.beta <= 0:
             raise UsageError(f"theta_0 = {self.beta} is not a valid inverse temperature")
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.components, dtype=float)
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.components, dtype=dtype)
 
     def __len__(self) -> int:
         return len(self.components)
@@ -89,15 +89,12 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 
 def as_components(x, n: int | None = None) -> np.ndarray:
-    """One point, a ControlVector or an array-like, as a float vector.
+    """One point, as any array-like (a ControlVector too), as a float vector.
 
     Checks that it is one-dimensional, then finite, then, when ``n`` is
     given, that it has n coordinates.
     """
-    if isinstance(x, ControlVector):
-        arr = x.as_array()
-    else:
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.ndim != 1:
         raise UsageError(f"a point must be one-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -114,8 +111,8 @@ def as_stack(x, n: int) -> tuple[np.ndarray, bool]:
     coordinates; anything else is one point (see ``as_components``),
     returned as a one-row stack.
     """
-    stack = None if isinstance(x, ControlVector) else np.asarray(x, dtype=float)
-    if stack is None or stack.ndim < 2:
+    stack = np.asarray(x, dtype=float)
+    if stack.ndim < 2:
         return as_components(x, n)[None, :], True
     if stack.ndim != 2 or stack.shape[0] == 0:
         raise UsageError(f"expected a (P, {n}) stack of points with P >= 1, "
@@ -180,7 +177,7 @@ class CurveSamples:
         # coordinate scale for distance tests; fixed, as the grid is read-only
         self.span = max(float(np.ptp(grid)), 1.0)
         if grid.shape[1] == 1:
-            if grid.shape[0] > 1 and not np.all(np.diff(grid[:, 0]) > 0):
+            if not np.all(np.diff(grid[:, 0]) > 0):
                 raise UsageError("one-dimensional grid must be strictly increasing")
         elif grid.shape[0] > 1:
             order = np.lexsort(grid.T[::-1])
@@ -249,10 +246,10 @@ class CurveSamples:
     def _neighbours(self, k: int) -> np.ndarray:
         """(npoints, 5) table of the samples 2 and 1 steps before each
         sample, the sample itself, and 1 and 2 steps after it, along its
-        axis-k line on a product grid and along the sample order otherwise;
-        -1 past a line's end. Computed once per axis."""
+        axis-k line on a product grid (a 1-d grid is one line) and along the
+        sample order otherwise; -1 past a line's end. Computed once per axis."""
         if k not in self._steps:
-            product = self.ndim > 1 and self.axes() is not None
+            product = self.axes() is not None
             lines = self.axis_lines(k) if product else [np.arange(self.npoints)]
             table = np.full((self.npoints, 5), -1)
             for line in lines:
@@ -547,13 +544,12 @@ def tangent_set(f: CurveSamples, q, tol: float | None = None) -> TangentSet:
         tols[off, 0] = 0.0 if tol is None else float(tol)
 
     on = ~off
-    if on.any():
-        for k in range(f.ndim):
-            lo, hi, t, bad = _axis_intervals(f, at[on], k, tol)
-            if bad.any():
-                raise DomainError(f"cannot resolve slopes along coordinate {k} at "
-                                  f"{points[on][np.argmax(bad)]}")
-            lower[on, k], upper[on, k], tols[on, k] = lo, hi, t
+    for k in range(f.ndim):
+        lo, hi, t, bad = _axis_intervals(f, at[on], k, tol)
+        if bad.any():
+            raise DomainError(f"cannot resolve slopes along coordinate {k} at "
+                              f"{points[on][np.argmax(bad)]}")
+        lower[on, k], upper[on, k], tols[on, k] = lo, hi, t
     if single:
         return TangentSet(points[0], lower[0], upper[0], tols[0])
     return TangentSet(points, lower, upper, tols)
@@ -571,7 +567,7 @@ def concavity_violations(f: CurveSamples, tol: float) -> list[ConcavityViolation
     collinear triples apply. Empty list iff the sampled function honors its
     orientation at resolution ``tol``.
     """
-    product = f.ndim > 1 and f.axes() is not None
+    product = f.axes() is not None
     out = []
     for k in range(f.ndim if product else 1):
         nb = f._neighbours(k)[np.concatenate(f.axis_lines(k)) if product else slice(None)]
@@ -600,16 +596,15 @@ def biconjugate(f: CurveSamples) -> CurveSamples:
     envelope. Dual grids are the products of each axis's distinct chord
     slopes between neighbouring samples (``_neighbours``), which makes the
     round trip exact for piecewise-linear concave data; an axis with one
-    value has the slope 0. Supported on 1-d and Cartesian product grids.
+    value has the slope 0, and so has every axis of a one-point curve.
+    Supported on Cartesian product grids, a 1-d grid being one.
     f* and the hull come from 32-row blocks of products (``_blocked_extremes``):
     outer products on a 1-d curve, stacked mat-vecs on a product grid, each
     row with the bits of its own mat-vec.
     """
     if f.orientation != CONCAVE:
         raise UsageError("biconjugate expects concave-oriented samples")
-    if f.npoints == 1:
-        return CurveSamples(f.grid, f.values, CONCAVE, f.metadata)
-    if f.ndim > 1 and f.axes() is None:
+    if f.axes() is None:
         raise UsageError("biconjugate on dim > 1 requires a Cartesian product grid")
     per_axis = []
     for k in range(f.ndim):

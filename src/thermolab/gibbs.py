@@ -110,18 +110,17 @@ class DensityState:
         return np.abs(overlap) ** 2 @ self.probabilities
 
     def expectation(self, op) -> float:
-        """Tr(rho A) for A given as a diagonal vector or dense matrix."""
+        """Tr(rho A) for A given as a diagonal vector or dense matrix; in the
+        product basis only a matrix's diagonal is read."""
         op = np.asarray(op)
-        if op.ndim == 1:
-            if op.shape != (self.dim,):
-                raise UsageError("observable dimension mismatch")
-            return float(np.real(self.occupations() @ op))
-        if op.shape != (self.dim, self.dim):
+        if op.shape == (self.dim, self.dim):
+            if self.basis is not None:
+                rot = np.einsum("ia,ij,ja->a", self.basis.conj(), op, self.basis)
+                return float(np.real(rot @ self.probabilities))
+            op = np.diag(op)
+        if op.shape != (self.dim,):
             raise UsageError("observable dimension mismatch")
-        if self.basis is None:
-            return float(np.real(np.diag(op) @ self.probabilities))
-        rot = np.einsum("ia,ij,ja->a", self.basis.conj(), op, self.basis)
-        return float(np.real(rot @ self.probabilities))
+        return float(np.real(self.occupations() @ op))
 
     def max_norm_distance(self, other: "DensityState") -> float:
         return float(np.max(np.abs(self.matrix - other.matrix)))

@@ -188,19 +188,18 @@ class ObservableFamily:
             shapes_ok = all(m.shape == (dim, dim) for m in matrices)
         if not shapes_ok:  # first: the checks below need square matrices
             raise UsageError(f"observable shape mismatch for dimension {dim}")
-        for m in matrices or ():
+        blocks = None
+        if matrices:  # a dense family's one matrix
+            m, half = matrices[0], dim // 2
             if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
                 raise UsageError("observables must be hermitian")
             if not np.array_equal(m, m[::-1, ::-1]):
                 raise UsageError("a dense observable must commute with the global spin flip")
+            blocks = _frozen((m[:half, :half], m[:half, ::-1][:, :half]))
         if n == 0:
             raise UsageError("family needs at least one observable")
         if len(labels) != n:
             raise UsageError("one label per observable required")
-        blocks = None
-        if matrices is not None:
-            m, half = matrices[0], dim // 2
-            blocks = _frozen((m[:half, :half], m[:half, ::-1][:, :half]))
         self._setup(region, labels, spec, diagonals, blocks)
 
     @classmethod
