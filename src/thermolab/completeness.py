@@ -243,8 +243,9 @@ def _root_table(family: ErgodicFamily, k: int, targets: np.ndarray, tol: float):
 
     a, b, c = family.component_coefficients(k)
     # one power of two keeps b * b and 4 a c in range; the roots are ratios of
-    # the scaled terms and keep their bits, short of a scaled c - t underflow
-    scale = math.ldexp(1.0, -math.frexp(max(abs(a), abs(b)))[1])
+    # the scaled terms and keep their bits, short of a scaled c - t underflow.
+    # It is capped at 2^1023, where 2^-e of a subnormal a or b would overflow
+    scale = math.ldexp(1.0, min(-math.frexp(max(abs(a), abs(b)))[1], 1023))
     a, b, c = a * scale, b * scale, (c - targets) * scale
     x = np.full((len(targets), 5), np.inf)
     x[:, 0], x[:, 1] = -1.0, 1.0

@@ -62,13 +62,11 @@ class ControlVector:
 
     @property
     def couplings(self) -> tuple[float, ...]:
-        """The y_j = theta_j / theta_0 for j >= 1 (thermal convention)."""
-        self.require_thermal()
-        return tuple(c / self.beta for c in self.components[1:])
-
-    def require_thermal(self):
+        """The y_j = theta_j / theta_0 for j >= 1 (thermal convention); a
+        theta_0 <= 0 is no inverse temperature and raises UsageError."""
         if self.beta <= 0:
             raise UsageError(f"theta_0 = {self.beta} is not a valid inverse temperature")
+        return tuple(c / self.beta for c in self.components[1:])
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.array(self.components, dtype=dtype)
@@ -179,10 +177,10 @@ class CurveSamples:
         if grid.shape[1] == 1:
             if not np.all(np.diff(grid[:, 0]) > 0):
                 raise UsageError("one-dimensional grid must be strictly increasing")
-        elif grid.shape[0] > 1:
+        else:
             order = np.lexsort(grid.T[::-1])
             gaps = np.abs(np.diff(grid[order], axis=0)).max(axis=1)
-            if np.min(gaps) <= _ABSCISSA_FLOOR * self.span:
+            if np.any(gaps <= _ABSCISSA_FLOOR * self.span):
                 raise UsageError("grid points must be pairwise distinct")
         self.grid = grid
         self.values = values
