@@ -103,15 +103,10 @@ class ArtifactWriter:
             (self.out_dir / name).write_text(text)
 
 
-def _cell(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
 def _line(row) -> str:
     """One CSV body line of a mixed row: floats by ``repr``, the rest by ``str``."""
-    return ",".join(map(_cell, row))
+    return ",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                    for v in row)
 
 
 def _pool_map(fn, items, threads: int):
@@ -277,7 +272,7 @@ def _run_kms_verify(cfg: Config, writer: ArtifactWriter, threads: int):
     if sigma_w > 0:
         writer.write_csv("smeared.csv", cols + ["sigma_w", "quadrature_step"],
                          [_line(row) for row in smeared_rows])
-    worst = max([r[-1] for r in rows] + [r[-3] for r in smeared_rows], default=0.0)
+    worst = max([r[-1] for r in rows] + [r[-3] for r in smeared_rows])
     return {"max_residual": worst}
 
 

@@ -342,12 +342,14 @@ def constrained_entropy_max(family: ErgodicFamily, constraint, tol: float = 1e-9
 
 def _continuum_maximum(family: ErgodicFamily, cons: dict, tol: float) -> MaximizerSet:
     """Unconstrained-in-practice case: every component is flat at its target.
-    eta is largest at m = 0; the scan only checks for a flat optimum."""
+    eta is largest at m = 0; the scan only checks for a flat optimum. The
+    scan's m = 0 sample has eta == best and tol > 0, so ``near`` is never
+    empty."""
     best = float(family.entropy(0.0))
     m, _, eta = family._scan_arrays()
     near = np.nonzero(eta >= best - tol)[0]
-    width = float(m[near[-1]] - m[near[0]]) if len(near) else 0.0
-    spread = float(eta[near].max() - eta[near].min()) if len(near) else 0.0
+    width = float(m[near[-1]] - m[near[0]])
+    spread = float(eta[near].max() - eta[near].min())
     if width > 1000.0 * MERGE_RADIUS and spread <= tol:
         endpoints = (float(m[near[0]]), float(m[near[-1]]))
         return MaximizerSet(cons, best, endpoints, math.inf, endpoints)
@@ -368,8 +370,7 @@ def completeness_verdict(family: ErgodicFamily, constraints, tol: float = 1e-9) 
     return CompletenessReport(records, complete, witness)
 
 
-def entropy_curve(family: ErgodicFamily, grid, tol: float = 1e-9,
-                  components=None) -> CurveSamples:
+def entropy_curve(family: ErgodicFamily, grid, components=None) -> CurveSamples:
     """Sampled entropy function s over a grid of (partial) density constraints.
 
     The grid is a list of constraints (see ``normalize_constraint``), every
@@ -377,7 +378,8 @@ def entropy_curve(family: ErgodicFamily, grid, tol: float = 1e-9,
     one point per row, read by ``convex.as_stack``: column j fixes
     ``components[j]`` (ascending indices or labels; default every
     component). Infeasible points are skipped with an
-    InfeasibleGridPointWarning. One-component grids are sorted by
+    InfeasibleGridPointWarning. Maximizers are resolved at tol 1e-9, as in
+    ``constrained_entropy_max``. One-component grids are sorted by
     coordinate; higher-dimensional grids keep the caller's order (a chain
     of samples along the family's reachable set). The curve's metadata is
     its ``family`` alone: the model and its couplings are the run's config.
@@ -399,7 +401,7 @@ def entropy_curve(family: ErgodicFamily, grid, tol: float = 1e-9,
             raise UsageError("all grid points must constrain the same components")
         targets = np.array([[c[k] for k in comps] for c in normalized])
 
-    values, _, winners, flat = _maximize_stack(family, tuple(comps), targets, tol)
+    values, _, winners, flat = _maximize_stack(family, tuple(comps), targets, 1e-9)
     # a flat row's value is _continuum_maximum's, with no scan to build
     values[flat] = family.entropy(0.0)
     feasible = flat | winners.any(axis=1)
@@ -419,7 +421,7 @@ def entropy_curve(family: ErgodicFamily, grid, tol: float = 1e-9,
 
 def family_curve_constraints(family: ErgodicFamily, m_values) -> list[dict]:
     """Joint (all-component) constraints along the family's reachable curve."""
-    q = family.densities(np.asarray(m_values, dtype=float))
+    q = family.densities(m_values)
     return [dict(enumerate(row)) for row in q.tolist()]
 
 

@@ -272,10 +272,7 @@ class CurveSamples:
     def index_of(self, point) -> int | None:
         """Index of the sample matching ``point``, or None."""
         point = as_components(point, self.ndim)
-        # max over coordinates of |grid - point|, one column at a time
-        dist = np.abs(self.grid[:, 0] - point[0])
-        for k in range(1, self.ndim):
-            np.maximum(dist, np.abs(self.grid[:, k] - point[k]), out=dist)
+        dist = np.max(np.abs(self.grid - point), axis=1)
         i = int(np.argmin(dist))
         if dist[i] <= 1e-9 * self.span:
             return i
@@ -563,8 +560,11 @@ def concavity_violations(f: CurveSamples, tol: float) -> list[ConcavityViolation
     and after it (``_neighbours``): along every axis line of a product grid,
     in line order, and along the sample order otherwise, where only
     collinear triples apply. Empty list iff the sampled function honors its
-    orientation at resolution ``tol``.
+    orientation at resolution ``tol``; a NaN or negative ``tol`` raises
+    UsageError.
     """
+    if not tol >= 0.0:
+        raise UsageError(f"tol must be non-negative, got {tol}")
     product = f.axes() is not None
     out = []
     for k in range(f.ndim if product else 1):

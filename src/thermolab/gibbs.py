@@ -66,9 +66,10 @@ class DensityState:
         p = np.asarray(probabilities, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise UsageError("probabilities must be a non-empty vector")
-        if abs(float(p.sum()) - 1.0) > 1e-12:
+        # written so that a NaN weight fails them
+        if not abs(float(p.sum()) - 1.0) <= 1e-12:
             raise UsageError(f"trace {p.sum()} is not 1 within 1e-12")
-        if float(p.min()) < -1e-12:
+        if not float(p.min()) >= -1e-12:
             raise UsageError(f"negative weight {p.min()} below -1e-12")
         self.probabilities = np.clip(p, 0.0, None)
         self.basis = basis
@@ -219,8 +220,6 @@ def variational_gap(rho: DensityState, family: ObservableFamily, theta) -> float
     vanishes exactly at the canonical state.
     """
     th = as_components(theta, family.n_observables)
-    if rho.dim != family.dim:
-        raise UsageError("state dimension does not match the family")
     n_phi = finite_pressure(family, th) * family.region.size
     return n_phi - von_neumann_entropy(rho) + float(th @ expectation_vector(rho, family))
 

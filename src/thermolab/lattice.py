@@ -211,7 +211,7 @@ class ObservableFamily:
 
     def _setup(self, region, labels, spec, diagonals, blocks):
         self.region = region
-        self.labels = tuple(labels)
+        self.labels = labels
         self.spec = spec
         self._diagonals = diagonals
         self._near_far = blocks
@@ -422,10 +422,7 @@ class Translation:
 
     def conjugate_diagonal(self, diag: np.ndarray) -> np.ndarray:
         """Diagonal of sigma(x) Q sigma(x)^-1 for diagonal Q."""
-        tau = self.permutation()
-        out = np.empty_like(diag)
-        out[tau] = diag
-        return out
+        return diag[np.argsort(self.permutation())]
 
     def conjugate_dense(self, matrix: np.ndarray) -> np.ndarray:
         tau = self.permutation()
@@ -689,13 +686,11 @@ def _split_defects(family: ObservableFamily) -> tuple[dict, tuple] | tuple[None,
     """
     if family.spec is None or family.region.size < 2:
         return None, None
-    spec = family.spec
     n = family.region.size
     na, nb = n // 2, n - n // 2
-    sub_spec = spec
-    if family.region.geometry == CHAIN:
-        # halves of a chain are open sub-chains regardless of the parent's boundary
-        sub_spec = replace(spec, boundary="open")
+    # halves of a chain are open sub-chains regardless of the parent's
+    # boundary; the other kinds never read it, so every kind takes "open"
+    sub_spec = replace(family.spec, boundary="open")
     fam_a = build_model(sub_spec, sub_spec.region(na))
     fam_b = build_model(sub_spec, sub_spec.region(nb))
     whole, part_a, part_b = (f.diagonals or f.dense for f in (family, fam_a, fam_b))
